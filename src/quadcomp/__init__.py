@@ -33,7 +33,6 @@ from .errors import (
     BudgetExceeded,
     ConstantPolynomial,
     DegreeTooSmall,
-    DivisionByZero,
     EmptyAlphabet,
     EmptyChain,
     EmptyWord,

@@ -21,9 +21,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import IndexOutOfRange, UnsupportedFormat
 from .finite_field import FieldElement, FiniteField
 from .monoid import Alphabet, MonicQuad
+
+# reverse_subset_prune gathers at most this many bytes of preimages at once
+_GATHER_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -100,12 +105,11 @@ class InterimAutomaton:
 class PartialDfa:
     """Partial DFA with every state accepting; missing transitions reject."""
 
-    def __init__(self, field, alphabet, n_states, trans, subsets=None, start=0):
+    def __init__(self, field, alphabet, n_states, trans, start=0):
         self.field = field
         self.alphabet = alphabet
         self.n_states = n_states
         self.trans = dict(trans)
-        self.subsets = subsets
         self.start = start
 
     def __eq__(self, other):
@@ -179,29 +183,58 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     order, so state ids are deterministic.  The start subset is the set of
     N's accepting states; a subset accepts iff it contains N's initial
     state, and only accepting subsets are kept.
+
+    Each BFS layer is one numpy pass: the layer's subsets are rows of an
+    (F, n) bool array, and frontier[:, delta] takes the preimages under
+    every letter at once.  Rows are packed into byte keys of any width and
+    deduplicated with np.unique; new subsets get ids in order of first
+    appearance, the order a queue-driven walk discovers them in.
     """
-    start_mask = n_aut.accepting_mask
-    ids = {start_mask: 0}
-    order = [start_mask]
-    trans = {}
-    queue = deque([start_mask])
+    n = n_aut.n_states
     n_letters = len(n_aut.alphabet)
-    while queue:
-        mask = queue.popleft()
-        sid = ids[mask]
-        for j in range(n_letters):
-            nxt = n_aut.preimage_mask(mask, j)
-            if not nxt & 1:
+    delta = np.asarray(n_aut.delta, dtype=np.intp)  # (L, n)
+    chunk = max(1, _GATHER_BYTES // (n_letters * n))
+    frontier = np.asarray(n_aut.accepting, dtype=bool)[None, :]
+    seen = _pack(frontier)  # keys of every subset so far, in id order
+    layer_base = 0
+    src, letters, tgt = [], [], []
+    while len(frontier):
+        fresh = []
+        for lo in range(0, len(frontier), chunk):
+            pre = frontier[lo : lo + chunk][:, delta].reshape(-1, n)
+            flat = np.flatnonzero(pre[:, 0])
+            if not len(flat):
                 continue
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            trans[(sid, j)] = ids[nxt]
-    subsets = tuple(
-        tuple(t for t in range(n_aut.n_states) if (mask >> t) & 1) for mask in order
-    )
-    return PartialDfa(n_aut.field, n_aut.alphabet, len(order), trans, subsets=subsets)
+            pre = pre[flat]
+            keys = _pack(pre)
+            n_seen = len(seen)
+            _, first, inv = np.unique(
+                np.concatenate([seen, keys]), return_index=True, return_inverse=True
+            )
+            # a key first met inside `seen` sits at its own id; the others
+            # are numbered in order of first appearance among the candidates
+            new = np.flatnonzero(first >= n_seen)
+            new = new[np.argsort(first[new])]
+            born = first[new] - n_seen
+            first[new] = n_seen + np.arange(len(new))
+            src.append(layer_base + lo + flat // n_letters)
+            letters.append(flat % n_letters)
+            tgt.append(first[inv[n_seen:]])
+            fresh.append(pre[born])
+            seen = np.concatenate([seen, keys[born]])
+        layer_base += len(frontier)
+        frontier = np.concatenate(fresh) if fresh else frontier[:0]
+    trans = {}
+    if src:
+        pairs = zip(np.concatenate(src).tolist(), np.concatenate(letters).tolist())
+        trans = dict(zip(pairs, np.concatenate(tgt).tolist()))
+    return PartialDfa(n_aut.field, n_aut.alphabet, len(seen), trans)
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """One fixed-width byte key per bool row, comparable by np.unique."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def accepts(m_aut: PartialDfa, word: Sequence[int]) -> bool:
@@ -238,19 +271,27 @@ def lazy_accepts(n_aut: InterimAutomaton, word: Sequence[int]) -> bool:
 
 
 def count_accepted(m_aut: PartialDfa, n: int) -> int:
-    """Number of accepted words of length exactly n (path counting)."""
+    """Number of accepted words of length exactly n (path counting).
+
+    Edges are sorted by target once; each step sums the counts of every
+    target's sources with np.add.reduceat.  Counts are object arrays of
+    Python ints, so they stay exact past 2**63.
+    """
     if n < 0:
         raise ValueError("word length must be >= 0")
-    counts = [0] * m_aut.n_states
+    counts = np.zeros(m_aut.n_states, dtype=object)
     counts[m_aut.start] = 1
+    edges = np.array([(s, t) for (s, _), t in m_aut.trans.items()], dtype=np.intp)
+    edges = edges.reshape(-1, 2)  # (0, 2) when M has no edges
+    edges = edges[np.argsort(edges[:, 1])]
+    src = edges[:, 0]
+    starts = np.flatnonzero(np.diff(edges[:, 1], prepend=-1))
+    tgts = edges[starts, 1]
     for _ in range(n):
-        nxt = [0] * m_aut.n_states
-        for (s, j), t in m_aut.trans.items():
-            c = counts[s]
-            if c:
-                nxt[t] += c
+        nxt = np.zeros(m_aut.n_states, dtype=object)
+        nxt[tgts] = np.add.reduceat(counts[src], starts)
         counts = nxt
-    return sum(counts)
+    return int(counts.sum())
 
 
 def minimize(m_aut: PartialDfa) -> PartialDfa:

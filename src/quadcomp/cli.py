@@ -31,7 +31,7 @@ from .errors import (
     NotDecomposable,
     NotIrreducible,
 )
-from .finite_field import FiniteField
+from .finite_field import FiniteField, is_prime
 from .irreducibility import (
     IRREDUCIBLE,
     REDUCIBLE,
@@ -63,22 +63,22 @@ def _prime_power(q: int):
         raise CliError("q must be an odd prime power >= 3, got %d" % q)
     if q % 2 == 0:
         raise CliError("characteristic 2 unsupported")
-    p = None
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            p = f
-            break
-        f += 2
-    if p is None:
-        p = q
-    n, k = q, 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
-        raise CliError("q must be a prime power, got %d" % q)
-    return p, k
+    # q = p^k has an exact k-th root, and the largest such k has a prime root
+    for k in range(q.bit_length() - 1, 0, -1):
+        r = _iroot(q, k)
+        if r**k == q and is_prime(r):
+            return r, k
+    raise CliError("q must be a prime power, got %d" % q)
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest r with r**k <= n, by Newton's iteration from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _field_from_args(args) -> FiniteField:

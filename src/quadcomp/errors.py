@@ -60,7 +60,3 @@ class UnsupportedFormat(ValueError):
 class FreedomNotCertified(UserWarning):
     """Word counts may overcount polynomials: the alphabet's freedom
     criterion did not apply.  Enumeration of words is still valid."""
-
-
-# inv(0) and x/0 raise the built-in division error
-DivisionByZero = ZeroDivisionError

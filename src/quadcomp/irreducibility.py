@@ -14,6 +14,7 @@ closed).
 
 from __future__ import annotations
 
+import gc
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -103,11 +104,20 @@ def extend_frontier(n_aut: InterimAutomaton, frontier: Frontier) -> Frontier:
     """Append every viable letter to every (word, resume-state) pair."""
     n_letters = len(n_aut.alphabet)
     out = []
-    for word, mask in frontier:
-        for j in range(n_letters):
-            nxt = n_aut.preimage_mask(mask, j)
-            if nxt & 1:
-                out.append((word + (j,), nxt))
+    # The new pairs are tuples of ints and cannot form cycles.  Left on, the
+    # cycle collector runs after every few hundred of them and now and then
+    # rescans every live object, so a level's cost grew faster than its size.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for word, mask in frontier:
+            for j in range(n_letters):
+                nxt = n_aut.preimage_mask(mask, j)
+                if nxt & 1:
+                    out.append((word + (j,), nxt))
+    finally:
+        if enabled:
+            gc.enable()
     return out
 
 

@@ -1,4 +1,6 @@
 import json
+import random
+from collections import deque
 from itertools import product
 
 import pytest
@@ -29,6 +31,8 @@ F3 = FiniteField(3)
 F5 = FiniteField(5)
 F7 = FiniteField(7)
 F9 = FiniteField(3, 2)
+F25 = FiniteField(5, 2)
+F27 = FiniteField(3, 3)
 
 
 def example_alphabet():
@@ -268,3 +272,92 @@ def test_isomorphic_distinguishes():
     m3 = minimize(reverse_subset_prune(build_interim(Alphabet.maximal(F3))))
     assert isomorphic(m5, m5)
     assert not isomorphic(m5, m3)
+
+
+def queue_prune(n_aut):
+    """Reference subset walk: one state and one letter at a time, over int
+    bitmasks, with a deque for the BFS.  Returns (n_states, trans)."""
+    start_mask = n_aut.accepting_mask
+    ids = {start_mask: 0}
+    trans = {}
+    queue = deque([start_mask])
+    while queue:
+        mask = queue.popleft()
+        sid = ids[mask]
+        for j in range(len(n_aut.alphabet)):
+            nxt = n_aut.preimage_mask(mask, j)
+            if not nxt & 1:
+                continue
+            if nxt not in ids:
+                ids[nxt] = len(ids)
+                queue.append(nxt)
+            trans[(sid, j)] = ids[nxt]
+    return len(ids), trans
+
+
+def queue_count(m_aut, n):
+    """Reference path count: a dict walk over the edges, n times."""
+    counts = {m_aut.start: 1}
+    for _ in range(n):
+        nxt = {}
+        for (s, _j), t in m_aut.trans.items():
+            if s in counts:
+                nxt[t] = nxt.get(t, 0) + counts[s]
+        counts = nxt
+    return sum(counts.values())
+
+
+def assert_same_walk(n_aut):
+    m = reverse_subset_prune(n_aut)
+    n_states, trans = queue_prune(n_aut)
+    assert m.start == 0
+    assert m.n_states == n_states
+    assert m.trans == trans
+    assert list(m.trans) == sorted(trans)  # edges in (state, letter) order
+    return m
+
+
+def test_layer_walk_matches_queue_walk_on_maximal_alphabets():
+    for field in (F3, F5, F7, F9, F25, F27):
+        m = assert_same_walk(build_interim(Alphabet.maximal(field)))
+        assert queue_count(m, 12) == count_accepted(m, 12)
+
+
+def test_layer_walk_matches_queue_walk_on_merged_automata():
+    for alph in (example_alphabet(), Alphabet.maximal(F5), Alphabet.maximal(F9),
+                 Alphabet.maximal(F25)):
+        assert_same_walk(merge_dist_reg(build_interim(alph)))
+
+
+def test_layer_walk_matches_queue_walk_past_64_bit_masks():
+    rng = random.Random(20241018)
+    largest = 0
+    for field in (FiniteField(37), FiniteField(41)):
+        assert 2 * field.q + 1 > 64
+        for n_letters in (2, 3, 2, 3):
+            letters = [MonicQuad(field.elem(rng.randrange(field.q)),
+                                 field.elem(rng.randrange(field.q)))
+                       for _ in range(n_letters)]
+            m = assert_same_walk(build_interim(Alphabet(field, letters)))
+            largest = max(largest, m.n_states)
+    assert largest > 1000
+
+
+def test_layer_walk_leaves_the_preimage_memo_empty():
+    n_aut = build_interim(Alphabet.maximal(F7))
+    reverse_subset_prune(n_aut)
+    assert n_aut._pre_memo == {}
+
+
+def test_count_accepted_is_exact_past_two_to_the_63():
+    field = FiniteField(29)
+    loops = PartialDfa(field, Alphabet.maximal(field), 1, {(0, j): 0 for j in range(29)})
+    assert count_accepted(loops, 20) == 29**20 > 2**63
+    assert type(count_accepted(loops, 20)) is int
+    assert count_accepted(loops, 0) == 1
+
+
+def test_count_accepted_without_edges():
+    bare = PartialDfa(F3, Alphabet.maximal(F3), 2, {})
+    assert count_accepted(bare, 0) == 1
+    assert [count_accepted(bare, n) for n in (1, 2, 7)] == [0, 0, 0]

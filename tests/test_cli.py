@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quadcomp.cli import main
+from quadcomp.cli import CliError, _prime_power, main
 
 EX1 = "a=0 b=2;a=1 b=3"
 COLLIDING = "a=0 b=0;a=1 b=0;a=0 b=1"
@@ -211,3 +211,15 @@ def test_argparse_exit_codes(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_prime_power_splits_q_by_integer_roots():
+    assert _prime_power(9) == (3, 2)
+    assert _prime_power(3**40) == (3, 40)
+    assert _prime_power(2**61 - 1) == (2**61 - 1, 1)
+    for q in (15, 3**5 * 5):
+        with pytest.raises(CliError, match="q must be a prime power, got %d" % q):
+            _prime_power(q)
+    for q in (1, 2):
+        with pytest.raises(CliError, match="q must be an odd prime power >= 3, got %d" % q):
+            _prime_power(q)

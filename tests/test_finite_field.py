@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quadcomp import FieldElement, FiniteField, NotOddPrime, InvalidDegree, is_prime
@@ -142,3 +144,15 @@ def test_mixed_field_operations_rejected():
     assert FiniteField(3) != FiniteField(5)
     assert FiniteField(3) == FiniteField(3)
     assert FieldElement(FiniteField(3), 2) == FiniteField(3).elem(-1)
+
+
+def test_nonsquare_by_table_and_by_euler_agree_with_powering():
+    # 65,521 is at most 2^16, so it tabulates; 65,537 is past it
+    for p, tabulated in ((65521, True), (65537, False)):
+        field = FiniteField(p)
+        rng = random.Random(p)
+        sample = [0, 1, p - 1] + [rng.randrange(p) for _ in range(300)]
+        for u in sample:
+            want = u != 0 and field.rpow(u, (p - 1) // 2) != 1
+            assert field.is_nonsquare_raw(u) == want
+        assert (field._squares is not None) == tabulated
