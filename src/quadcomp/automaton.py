@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,14 +104,41 @@ class InterimAutomaton:
 
 
 class PartialDfa:
-    """Partial DFA with every state accepting; missing transitions reject."""
+    """Partial DFA with every state accepting; missing transitions reject.
+
+    The machine is held as `table`, an (n_states, letters) int32 array whose
+    entry [s, j] is the successor of s under letter j, or -1 where that
+    transition is missing.  `trans` accepts either such a table (an int32
+    one is kept as is, not copied) or a {(state, letter): target} mapping.
+    """
 
     def __init__(self, field, alphabet, n_states, trans, start=0):
         self.field = field
         self.alphabet = alphabet
         self.n_states = n_states
-        self.trans = dict(trans)
+        shape = (n_states, len(alphabet))
+        if isinstance(trans, np.ndarray):
+            if trans.shape != shape:
+                raise IndexOutOfRange("table shape %s, expected %s" % (trans.shape, shape))
+            if trans.size and not -1 <= trans.min() <= trans.max() < n_states:
+                raise IndexOutOfRange("table entry outside [-1, %d)" % n_states)
+            table = trans.astype(np.int32, copy=False)
+        else:
+            table = np.full(shape, -1, dtype=np.int32)
+            for (s, j), t in dict(trans).items():
+                if not (0 <= s < n_states and 0 <= j < shape[1] and 0 <= t < n_states):
+                    raise IndexOutOfRange("transition (%r, %r) -> %r out of range" % (s, j, t))
+                table[s, j] = t
+        if not 0 <= start < n_states:
+            raise IndexOutOfRange("start state %r out of range" % (start,))
+        self.table = table
         self.start = start
+
+    @cached_property
+    def trans(self) -> dict:
+        """{(state, letter): target}, in (state, letter) order."""
+        s, j = np.nonzero(self.table >= 0)
+        return dict(zip(zip(s.tolist(), j.tolist()), self.table[s, j].tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, PartialDfa):
@@ -120,7 +148,7 @@ class PartialDfa:
             and self.alphabet == other.alphabet
             and self.n_states == other.n_states
             and self.start == other.start
-            and self.trans == other.trans
+            and np.array_equal(self.table, other.table)
         )
 
 
@@ -188,7 +216,8 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     (F, n) bool array, and frontier[:, delta] takes the preimages under
     every letter at once.  Rows are packed into byte keys of any width and
     deduplicated with np.unique; new subsets get ids in order of first
-    appearance, the order a queue-driven walk discovers them in.
+    appearance, the order a queue-driven walk discovers them in.  Each
+    layer writes its own rows of M's transition table.
     """
     n = n_aut.n_states
     n_letters = len(n_aut.alphabet)
@@ -196,10 +225,10 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     chunk = max(1, _GATHER_BYTES // (n_letters * n))
     frontier = np.asarray(n_aut.accepting, dtype=bool)[None, :]
     seen = _pack(frontier)  # keys of every subset so far, in id order
-    layer_base = 0
-    src, letters, tgt = [], [], []
+    rows = []  # one block of table rows per layer
     while len(frontier):
         fresh = []
+        layer_table = np.full(len(frontier) * n_letters, -1, dtype=np.int32)
         for lo in range(0, len(frontier), chunk):
             pre = frontier[lo : lo + chunk][:, delta].reshape(-1, n)
             flat = np.flatnonzero(pre[:, 0])
@@ -217,18 +246,12 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
             new = new[np.argsort(first[new])]
             born = first[new] - n_seen
             first[new] = n_seen + np.arange(len(new))
-            src.append(layer_base + lo + flat // n_letters)
-            letters.append(flat % n_letters)
-            tgt.append(first[inv[n_seen:]])
+            layer_table[lo * n_letters + flat] = first[inv[n_seen:]]
             fresh.append(pre[born])
             seen = np.concatenate([seen, keys[born]])
-        layer_base += len(frontier)
+        rows.append(layer_table.reshape(-1, n_letters))
         frontier = np.concatenate(fresh) if fresh else frontier[:0]
-    trans = {}
-    if src:
-        pairs = zip(np.concatenate(src).tolist(), np.concatenate(letters).tolist())
-        trans = dict(zip(pairs, np.concatenate(tgt).tolist()))
-    return PartialDfa(n_aut.field, n_aut.alphabet, len(seen), trans)
+    return PartialDfa(n_aut.field, n_aut.alphabet, len(seen), np.concatenate(rows))
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
@@ -274,67 +297,79 @@ def count_accepted(m_aut: PartialDfa, n: int) -> int:
     """Number of accepted words of length exactly n (path counting).
 
     Edges are sorted by target once; each step sums the counts of every
-    target's sources with np.add.reduceat.  Counts are object arrays of
-    Python ints, so they stay exact past 2**63.
+    target's sources with np.add.reduceat.  No count after i steps exceeds
+    L**i, the number of words of length i over L letters, so steps run in
+    int64 while L**i < 2**63 and then in object arrays of Python ints,
+    which stay exact past 2**63.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
-    counts = np.zeros(m_aut.n_states, dtype=object)
+    defined = m_aut.table >= 0
+    src, _ = np.nonzero(defined)
+    tgt = m_aut.table[defined]
+    order = np.argsort(tgt, kind="stable")
+    src, tgt = src[order], tgt[order]
+    starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+    tgts = tgt[starts]
+    counts = np.zeros(m_aut.n_states, dtype=np.int64)
     counts[m_aut.start] = 1
-    edges = np.array([(s, t) for (s, _), t in m_aut.trans.items()], dtype=np.intp)
-    edges = edges.reshape(-1, 2)  # (0, 2) when M has no edges
-    edges = edges[np.argsort(edges[:, 1])]
-    src = edges[:, 0]
-    starts = np.flatnonzero(np.diff(edges[:, 1], prepend=-1))
-    tgts = edges[starts, 1]
+    words = 1
     for _ in range(n):
-        nxt = np.zeros(m_aut.n_states, dtype=object)
+        words *= len(m_aut.alphabet)
+        if words >= 2**63 and counts.dtype != object:
+            counts = counts.astype(object)
+        nxt = np.zeros_like(counts)
         nxt[tgts] = np.add.reduceat(counts[src], starts)
         counts = nxt
     return int(counts.sum())
 
 
 def minimize(m_aut: PartialDfa) -> PartialDfa:
-    """Moore minimization of the partial DFA (via a rejecting sink)."""
+    """Moore minimization of the partial DFA (via a rejecting sink).
+
+    Each round is one array pass: a state's signature is its own block and
+    the blocks of its successors, and np.unique over the signature rows
+    gives the next blocks, until their number stops growing.  Blocks are
+    then numbered breadth first from the start block, letters in alphabet
+    order, so the result is the canonical minimal DFA.
+    """
+    table = m_aut.table
     n = m_aut.n_states
     sink = n
-    n_letters = len(m_aut.alphabet)
-    full = [
-        [m_aut.trans.get((s, j), sink) for j in range(n_letters)] for s in range(n)
-    ]
-    full.append([sink] * n_letters)
-    block = [0] * n + [1]
+    full = np.vstack([np.where(table >= 0, table, sink), np.full((1, table.shape[1]), sink)])
+    block = np.zeros(n + 1, dtype=np.int32)
+    block[sink] = 1
+    n_blocks = 2
     while True:
-        remap = {}
-        new_block = []
-        for s in range(n + 1):
-            key = (block[s],) + tuple(block[t] for t in full[s])
-            if key not in remap:
-                remap[key] = len(remap)
-            new_block.append(remap[key])
-        if new_block == block:
+        sig = np.column_stack([block, block[full]])
+        sig = sig.view(np.dtype((np.void, sig.shape[1] * sig.itemsize))).ravel()
+        _, block_of = np.unique(sig, return_inverse=True)
+        found = int(block_of.max()) + 1
+        if found == n_blocks:
             break
-        block = new_block
-    merged_trans = {}
-    for (s, j), t in m_aut.trans.items():
-        merged_trans[(block[s], j)] = block[t]
-    # renumber blocks by breadth-first discovery from the start block
-    start_block = block[m_aut.start]
-    number = {start_block: 0}
-    queue = deque([start_block])
-    while queue:
-        b = queue.popleft()
-        for j in range(n_letters):
-            t = merged_trans.get((b, j))
-            if t is not None and t not in number:
-                number[t] = len(number)
-                queue.append(t)
-    trans = {
-        (number[s], j): number[t]
-        for (s, j), t in merged_trans.items()
-        if s in number and t in number
-    }
-    return PartialDfa(m_aut.field, m_aut.alphabet, len(number), trans, start=0)
+        block, n_blocks = block_of.astype(np.int32), found
+    # the states of a block share their successor blocks, so any one of
+    # them may write the block's row; the sink's block stands for "missing"
+    succ = np.empty((n_blocks, table.shape[1]), dtype=np.int32)
+    succ[block] = block[full]
+    succ[succ == block[sink]] = -1
+    number = np.full(n_blocks, -1, dtype=np.intp)
+    number[block[m_aut.start]] = 0
+    frontier = block[[m_aut.start]]
+    n_found = 1
+    while len(frontier):
+        nxt = succ[frontier].ravel()
+        nxt = nxt[nxt >= 0]
+        nxt = nxt[number[nxt] < 0]
+        _, first = np.unique(nxt, return_index=True)
+        frontier = nxt[np.sort(first)]
+        number[frontier] = np.arange(n_found, n_found + len(frontier))
+        n_found += len(frontier)
+    kept = np.flatnonzero(number >= 0)
+    out = np.full((n_found, table.shape[1]), -1, dtype=np.int32)
+    rows = succ[kept]
+    out[number[kept]] = np.where(rows >= 0, number[rows], -1)
+    return PartialDfa(m_aut.field, m_aut.alphabet, n_found, out, start=0)
 
 
 def canonical_form(m_aut: PartialDfa) -> tuple:

@@ -167,7 +167,7 @@ def _text_automaton(name: str, aut) -> List[str]:
             "%s: %s automaton over F_%d, %d states" % (name, kind, field.q, len(aut.states))
         )
         labels = [s.label() for s in aut.states]
-        acc = " ".join(labels[s] for s in sorted(aut.accepting))
+        acc = " ".join(labels[t] for t, ok in enumerate(aut.accepting) if ok)
         lines.append("accepting: %s" % acc)
         for s in range(len(aut.states)):
             for l in range(len(names)):

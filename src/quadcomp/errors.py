@@ -22,7 +22,8 @@ class BothZero(ValueError):
 
 
 class IndexOutOfRange(ValueError):
-    """A word refers to a letter index outside the alphabet."""
+    """A letter or state index is outside its range (a word's letter, or an
+    automaton's state, letter or transition target)."""
 
 
 class EmptyAlphabet(ValueError):

@@ -3,12 +3,14 @@ import random
 from collections import deque
 from itertools import product
 
+import numpy as np
 import pytest
 
 from quadcomp import (
     Alphabet,
     FiniteField,
     MonicQuad,
+    IndexOutOfRange,
     PartialDfa,
     UnsupportedFormat,
     accepts,
@@ -361,3 +363,134 @@ def test_count_accepted_without_edges():
     bare = PartialDfa(F3, Alphabet.maximal(F3), 2, {})
     assert count_accepted(bare, 0) == 1
     assert [count_accepted(bare, n) for n in (1, 2, 7)] == [0, 0, 0]
+
+
+def moore_reference(m_aut):
+    """Reference minimization: Moore's rounds over Python lists and dicts
+    (a rejecting sink stands in for missing transitions), then the blocks
+    numbered by a queue BFS from the start block."""
+    n = m_aut.n_states
+    sink = n
+    n_letters = len(m_aut.alphabet)
+    full = [
+        [m_aut.trans.get((s, j), sink) for j in range(n_letters)] for s in range(n)
+    ]
+    full.append([sink] * n_letters)
+    block = [0] * n + [1]
+    while True:
+        remap = {}
+        new_block = []
+        for s in range(n + 1):
+            key = (block[s],) + tuple(block[t] for t in full[s])
+            if key not in remap:
+                remap[key] = len(remap)
+            new_block.append(remap[key])
+        if new_block == block:
+            break
+        block = new_block
+    merged_trans = {}
+    for (s, j), t in m_aut.trans.items():
+        merged_trans[(block[s], j)] = block[t]
+    start_block = block[m_aut.start]
+    number = {start_block: 0}
+    queue = deque([start_block])
+    while queue:
+        b = queue.popleft()
+        for j in range(n_letters):
+            t = merged_trans.get((b, j))
+            if t is not None and t not in number:
+                number[t] = len(number)
+                queue.append(t)
+    trans = {
+        (number[s], j): number[t]
+        for (s, j), t in merged_trans.items()
+        if s in number and t in number
+    }
+    return PartialDfa(m_aut.field, m_aut.alphabet, len(number), trans, start=0)
+
+
+def assert_same_minimum(m):
+    got = minimize(m)
+    want = moore_reference(m)
+    assert got == want
+    assert got.trans == want.trans
+    return got.n_states < m.n_states
+
+
+def random_alphabet(rng, field, n_letters):
+    pairs = rng.sample(list(product(list(field.elements()), repeat=2)), n_letters)
+    return Alphabet(field, [MonicQuad(a, b) for a, b in pairs])
+
+
+def test_minimize_matches_moore_reference_on_interim_automata():
+    shrunk = 0
+    for field in (F3, F5, F7, F9, F25, F27):
+        shrunk += assert_same_minimum(reverse_subset_prune(build_interim(Alphabet.maximal(field))))
+    for alph in (example_alphabet(), Alphabet.maximal(F5), Alphabet.maximal(F9)):
+        shrunk += assert_same_minimum(reverse_subset_prune(merge_dist_reg(build_interim(alph))))
+    rng = random.Random(4242)
+    for field in (F5, F7, F9, FiniteField(11), FiniteField(13)):
+        for n_letters in (1, 2, 3, 4):
+            alph = random_alphabet(rng, field, n_letters)
+            shrunk += assert_same_minimum(reverse_subset_prune(build_interim(alph)))
+    assert shrunk > 0
+
+
+def test_minimize_matches_moore_reference_on_random_partial_dfas():
+    rng = random.Random(777)
+    shrunk = unreachable = edgeless = 0
+    for _ in range(200):
+        n = rng.randrange(1, 14)
+        alph = Alphabet.maximal(F3) if rng.random() < 0.5 else example_alphabet()
+        dense = rng.choice((0.3, 0.6, 0.9))
+        trans = {(s, j): rng.randrange(n)
+                 for s in range(n) for j in range(len(alph)) if rng.random() < dense}
+        m = PartialDfa(alph.field, alph, n, trans, start=rng.randrange(n))
+        shrunk += assert_same_minimum(m)
+        reached = {m.start} | set(trans.values())
+        unreachable += len(reached) < n
+        edgeless += any(all((s, j) not in trans for j in range(len(alph))) for s in range(n))
+    assert shrunk > 0 and unreachable > 0 and edgeless > 0
+
+
+def test_count_accepted_switches_from_int64_to_python_ints():
+    loop = PartialDfa(F5, example_alphabet(), 1, {(0, 0): 0, (0, 1): 0})
+    for n in (62, 63, 64):
+        got = count_accepted(loop, n)
+        assert got == 2**n
+        assert type(got) is int
+
+
+def test_table_pipeline_never_builds_the_transition_dict():
+    m = reverse_subset_prune(build_interim(Alphabet.maximal(F7)))
+    mm = minimize(m)
+    count_accepted(m, 5)
+    count_accepted(mm, 5)
+    assert "trans" not in vars(m)
+    assert "trans" not in vars(mm)
+    assert mm.trans == moore_reference(m).trans
+    assert "trans" in vars(mm)
+
+
+def test_partial_dfa_checks_its_transitions():
+    alph = example_alphabet()
+    for trans in ({(2, 0): 0}, {(-1, 0): 0}, {(0, 2): 0}, {(0, -1): 0},
+                  {(0, 0): 2}, {(0, 0): -1}):
+        with pytest.raises(IndexOutOfRange):
+            PartialDfa(F5, alph, 2, trans)
+    for table in (np.zeros((2, 3), dtype=np.int32), np.zeros((3, 2), dtype=np.int32),
+                  np.array([[0, -2], [1, 1]]), np.array([[0, 2], [1, 1]])):
+        with pytest.raises(IndexOutOfRange):
+            PartialDfa(F5, alph, 2, table)
+    for start in (-1, 2):
+        with pytest.raises(IndexOutOfRange):
+            PartialDfa(F5, alph, 2, {(0, 0): 1}, start=start)
+    table = np.array([[1, -1], [-1, 0]])
+    assert PartialDfa(F5, alph, 2, table) == PartialDfa(F5, alph, 2, {(0, 0): 1, (1, 1): 0})
+
+
+def test_json_with_an_out_of_range_target_is_refused():
+    blob = json.loads(to_json(reverse_subset_prune(build_interim(example_alphabet()))))
+    blob["transitions"][0]["to"] = len(blob["states"])
+    with pytest.raises(IndexOutOfRange):
+        automaton_from_json(json.dumps(blob))

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from quadcomp.cli import CliError, _prime_power, main
+from quadcomp import FiniteField, build_interim
+from quadcomp.cli import CliError, _parse_alphabet, _prime_power, main
 
 EX1 = "a=0 b=2;a=1 b=3"
 COLLIDING = "a=0 b=0;a=1 b=0;a=0 b=1"
@@ -35,6 +36,15 @@ def test_build_interim_text_and_merge(capsys):
                      "--emit", "N", "--merge")
     assert rc == 0
     assert out[0] == "N: merged interim automaton over F_5, 6 states"
+
+
+def test_build_interim_text_lists_the_accepting_states(capsys):
+    rc, out, _ = run(capsys, "build", "--q", "3", "--emit", "N")
+    assert rc == 0 and out[1] == "accepting: I <1> (2)"
+    rc, out, _ = run(capsys, "build", "--q", "5", "--alphabet", EX1, "--emit", "N")
+    n_aut = build_interim(_parse_alphabet(FiniteField(5), EX1))
+    want = [st.label() for st, ok in zip(n_aut.states, n_aut.accepting) if ok]
+    assert rc == 0 and out[1] == "accepting: " + " ".join(want)
 
 
 def test_build_merge_illegal(capsys):
