@@ -81,6 +81,7 @@ from .monoid import (
     MonicQuad,
     a_fibers,
     collision_search,
+    compose_chain,
     distinguished_set,
     freedom_certificate,
     pi,

@@ -17,7 +17,6 @@ word by word without materializing M.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -180,27 +179,21 @@ def build_interim(alphabet: Alphabet) -> InterimAutomaton:
 
 
 def merge_dist_reg(n_aut: InterimAutomaton) -> InterimAutomaton:
-    """Identify <a> with (a); only language-preserving when -1 is a square."""
+    """Identify <a> with (a); only language-preserving when -1 is a square.
+
+    The merged machine is N without its <a> block: the start keeps its
+    arrows into the old <a> ids, which now name (a), and every arrow into a
+    regular state moves down by q.
+    """
     field = n_aut.field
     if field.is_nonsquare_raw(field.rneg(field.one_raw)):
         raise ValueError("merge requires -1 to be a square in the field")
     if n_aut.merged:
         return n_aut
     q = field.q
-    raws = list(field.iter_raw())
-    states = [NState("initial", None)]
-    states += [NState("reg", FieldElement(field, v)) for v in raws]
-    accepting = [True] + [field.is_nonsquare_raw(v) for v in raws]
-    delta = []
-    for quad in n_aut.alphabet:
-        a, b = quad.a.val, quad.b.val
-        row = [0] * (q + 1)
-        row[0] = 1 + field.index_of_raw(field.rneg(b))
-        for i, v in enumerate(raws):
-            s = field.rsub(v, a)
-            image = field.rsub(field.rmul(s, s), b)
-            row[1 + i] = 1 + field.index_of_raw(image)
-        delta.append(row)
+    states = n_aut.states[:1] + n_aut.states[q + 1 :]
+    accepting = n_aut.accepting[:1] + n_aut.accepting[q + 1 :]
+    delta = [row[:1] + tuple(t - q for t in row[q + 1 :]) for row in n_aut.delta]
     return InterimAutomaton(field, n_aut.alphabet, states, accepting, delta, merged=True)
 
 
@@ -263,10 +256,7 @@ def _pack(rows: np.ndarray) -> np.ndarray:
 def accepts(m_aut: PartialDfa, word: Sequence[int]) -> bool:
     """Walk the partial DFA; undefined transitions reject."""
     state = m_aut.start
-    n_letters = len(m_aut.alphabet)
-    for j in word:
-        if not isinstance(j, int) or not 0 <= j < n_letters:
-            raise IndexOutOfRange("letter index %r out of range" % (j,))
+    for j in m_aut.alphabet.check_word(word):
         nxt = m_aut.trans.get((state, j))
         if nxt is None:
             return False
@@ -353,9 +343,26 @@ def minimize(m_aut: PartialDfa) -> PartialDfa:
     succ = np.empty((n_blocks, table.shape[1]), dtype=np.int32)
     succ[block] = block[full]
     succ[succ == block[sink]] = -1
-    number = np.full(n_blocks, -1, dtype=np.intp)
-    number[block[m_aut.start]] = 0
-    frontier = block[[m_aut.start]]
+    number = _bfs_number(succ, block[m_aut.start])
+    kept = np.flatnonzero(number >= 0)
+    n_found = len(kept)
+    out = np.full((n_found, table.shape[1]), -1, dtype=np.int32)
+    rows = succ[kept]
+    out[number[kept]] = np.where(rows >= 0, number[rows], -1)
+    return PartialDfa(m_aut.field, m_aut.alphabet, n_found, out, start=0)
+
+
+def _bfs_number(succ: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first numbers of the states reachable from `start`.
+
+    succ[s, j] is the successor of s under letter j, or -1 for none.  A
+    state's number is its position in the order a queue-driven BFS with
+    letters in column order first meets it; unreachable states get -1.
+    Each BFS layer is one array pass.
+    """
+    number = np.full(len(succ), -1, dtype=np.intp)
+    number[start] = 0
+    frontier = np.array([start])
     n_found = 1
     while len(frontier):
         nxt = succ[frontier].ravel()
@@ -365,11 +372,7 @@ def minimize(m_aut: PartialDfa) -> PartialDfa:
         frontier = nxt[np.sort(first)]
         number[frontier] = np.arange(n_found, n_found + len(frontier))
         n_found += len(frontier)
-    kept = np.flatnonzero(number >= 0)
-    out = np.full((n_found, table.shape[1]), -1, dtype=np.int32)
-    rows = succ[kept]
-    out[number[kept]] = np.where(rows >= 0, number[rows], -1)
-    return PartialDfa(m_aut.field, m_aut.alphabet, n_found, out, start=0)
+    return number
 
 
 def canonical_form(m_aut: PartialDfa) -> tuple:
@@ -378,22 +381,11 @@ def canonical_form(m_aut: PartialDfa) -> tuple:
     Two trim partial DFAs over the same alphabet are isomorphic iff their
     canonical forms are equal.
     """
-    number = {m_aut.start: 0}
-    queue = deque([m_aut.start])
-    n_letters = len(m_aut.alphabet)
-    while queue:
-        s = queue.popleft()
-        for j in range(n_letters):
-            t = m_aut.trans.get((s, j))
-            if t is not None and t not in number:
-                number[t] = len(number)
-                queue.append(t)
-    edges = sorted(
-        (number[s], j, number[t])
-        for (s, j), t in m_aut.trans.items()
-        if s in number and t in number
-    )
-    return (m_aut.n_states, len(number), tuple(edges))
+    table = m_aut.table
+    number = _bfs_number(table, m_aut.start)
+    s, j = np.nonzero((table >= 0) & (number >= 0)[:, None])
+    edges = sorted(zip(number[s].tolist(), j.tolist(), number[table[s, j]].tolist()))
+    return (m_aut.n_states, int(np.count_nonzero(number >= 0)), tuple(edges))
 
 
 def isomorphic(m1: PartialDfa, m2: PartialDfa) -> bool:
@@ -406,16 +398,8 @@ def isomorphic(m1: PartialDfa, m2: PartialDfa) -> bool:
 
 
 def _interim_reachable(n_aut: InterimAutomaton) -> list:
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        s = queue.popleft()
-        for row in n_aut.delta:
-            t = row[s]
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return sorted(seen)
+    number = _bfs_number(np.asarray(n_aut.delta).T, 0)
+    return np.flatnonzero(number >= 0).tolist()
 
 
 def _dot_name(s) -> str:

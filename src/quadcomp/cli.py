@@ -48,7 +48,14 @@ from .local_field import (
     PadicQuad,
     local_irreducible,
 )
-from .monoid import Alphabet, MonicQuad, collision_search, freedom_certificate, pi
+from .monoid import (
+    Alphabet,
+    MonicQuad,
+    collision_search,
+    compose_chain,
+    freedom_certificate,
+    pi,
+)
 from .polynomial import Poly
 
 DEFAULT_OUTPUT_BUDGET = 1_000_000
@@ -261,16 +268,6 @@ def _accepted_words(alphabet: Alphabet, n: int, budget: int) -> List[tuple]:
     return words
 
 
-def _compose_at(alphabet: Alphabet, word, shift) -> Poly:
-    field = alphabet.field
-    poly = Poly(field, (field.rneg(shift.val), field.one_raw), raw=True)
-    for i in reversed(tuple(word)):
-        quad = alphabet[i]
-        shifted = poly - quad.a
-        poly = shifted * shifted - quad.b
-    return poly
-
-
 def cmd_enumerate(args) -> int:
     field = _field_from_args(args)
     alphabet = _parse_alphabet(field, args.alphabet)
@@ -287,9 +284,9 @@ def cmd_enumerate(args) -> int:
                 "%d polynomials exceed the budget %d" % (field.q * len(words), args.budget)
             )
         for shift in field.elements():
+            inner = Poly.x(field) - shift
             for word in words:
-                poly = _compose_at(alphabet, word, shift)
-                line = poly.csv()
+                line = compose_chain([alphabet[j] for j in word], inner).csv()
                 if args.annotate:
                     line += "  shift=%s word=%s" % (
                         shift,

@@ -30,7 +30,7 @@ from .errors import (
     OddDegree,
 )
 from .finite_field import FieldElement, FiniteField
-from .monoid import Alphabet, MonicQuad, freedom_certificate
+from .monoid import Alphabet, MonicQuad, compose_chain, freedom_certificate
 from .polynomial import Poly
 
 IRREDUCIBLE = "irreducible"
@@ -167,21 +167,16 @@ def enumerate_irreducible_degree(field: FiniteField, n: int) -> Iterator[Poly]:
 
     Every such polynomial is pi(w)(x - s) for a unique accepted word w
     over the maximal alphabet {x^2 - b} and shift s.  Shifts run in field
-    element order (outer loop), words in lexicographic order, and each
-    polynomial is built from the inside out starting at x - s.
+    element order (outer loop), words in lexicographic order.
     """
     if n < 1:
         raise ValueError("level must be >= 1")
     alphabet = Alphabet.maximal(field)
-    words = [word for word, _ in enumerate_level(alphabet, n)]
-    b_raws = [quad.b.val for quad in alphabet]
-    for shift in field.iter_raw():
-        base = Poly(field, (field.rneg(shift), field.one_raw), raw=True)
-        for word in words:
-            poly = base
-            for j in reversed(word):
-                poly = poly * poly - FieldElement(field, b_raws[j])
-            yield poly
+    chains = [[alphabet[j] for j in word] for word, _ in enumerate_level(alphabet, n)]
+    for shift in field.elements():
+        inner = Poly.x(field) - shift
+        for letters in chains:
+            yield compose_chain(letters, inner)
 
 
 @dataclass(frozen=True)
@@ -193,10 +188,8 @@ class CanonicalChain:
 
     def recompose(self) -> Poly:
         field = self.shift.field
-        poly = Poly(field, (field.rneg(self.shift.val), field.one_raw), raw=True)
-        for a in reversed(self.bs):
-            poly = poly * poly - a
-        return poly
+        letters = [MonicQuad(field.zero, b) for b in self.bs]
+        return compose_chain(letters, Poly.x(field) - self.shift)
 
     def word(self) -> Tuple[int, ...]:
         """Letter indices over the maximal alphabet (letter j is x^2 - e_j)."""

@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, EmptyAlphabet, IndexOutOfRange
 from .finite_field import FieldElement, FiniteField
-from .polynomial import Poly
+from .polynomial import Poly, _mul_raw
 
 DEFAULT_SEARCH_BUDGET = 200_000
 
@@ -138,8 +138,9 @@ class Alphabet:
 
     def check_word(self, word: Sequence[int]) -> tuple:
         word = tuple(word)
+        n = len(self.letters)
         for i in word:
-            if not isinstance(i, int) or not 0 <= i < len(self.letters):
+            if not isinstance(i, int) or not 0 <= i < n:
                 raise IndexOutOfRange("letter index %r out of range" % (i,))
         return word
 
@@ -148,19 +149,30 @@ class Alphabet:
             raise EmptyAlphabet("alphabet has no letters")
 
 
+def compose_chain(letters: Sequence[MonicQuad], inner: Poly) -> Poly:
+    """letters[0] o ... o letters[-1] o inner, outermost letter first.
+
+    Built from the inside out, one squaring per letter; the constants a and
+    b of each letter touch only coefficient 0.  No letters give `inner`.
+    """
+    field = inner.field
+    if any(quad.field != field for quad in letters):
+        raise ValueError("mixed field contexts")
+    vals = list(inner.vals) or [field.zero_raw]
+    for quad in reversed(letters):
+        vals[0] = field.rsub(vals[0], quad.a.val)
+        vals = _mul_raw(vals, vals, field)
+        vals[0] = field.rsub(vals[0], quad.b.val)
+    return Poly(field, vals, raw=True)
+
+
 def pi(word: Sequence[int], alphabet: Alphabet) -> Poly:
     """Morphism: the composition of the word's letters, outermost first.
 
-    The empty word maps to x.  Built innermost-out, squaring at each step.
+    The empty word maps to x.
     """
     word = alphabet.check_word(word)
-    field = alphabet.field
-    acc = Poly.x(field)
-    for i in reversed(word):
-        quad = alphabet[i]
-        shifted = acc - quad.a
-        acc = shifted * shifted - quad.b
-    return acc
+    return compose_chain([alphabet[i] for i in word], Poly.x(alphabet.field))
 
 
 def distinguished_set(alphabet: Alphabet) -> set:

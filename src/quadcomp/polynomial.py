@@ -207,17 +207,14 @@ class Poly:
 
     # -- ring operations ----------------------------------------------------
 
-    def _pad(self, n: int) -> list:
-        return list(self.vals) + [self.field.zero_raw] * (n - len(self.vals))
-
     def __add__(self, other):
         other = self._as_poly(other)
         if other is NotImplemented:
             return other
-        n = max(len(self.vals), len(other.vals))
-        f = self.field
-        a, b = self._pad(n), other._pad(n)
-        return Poly(f, [f.radd(x, y) for x, y in zip(a, b)], raw=True)
+        f, a, b = self.field, self.vals, other.vals
+        out = [f.radd(x, y) for x, y in zip(a, b)]
+        out.extend(a[len(b) :] or b[len(a) :])
+        return Poly(f, out, raw=True)
 
     __radd__ = __add__
 
@@ -225,10 +222,10 @@ class Poly:
         other = self._as_poly(other)
         if other is NotImplemented:
             return other
-        n = max(len(self.vals), len(other.vals))
-        f = self.field
-        a, b = self._pad(n), other._pad(n)
-        return Poly(f, [f.rsub(x, y) for x, y in zip(a, b)], raw=True)
+        f, a, b = self.field, self.vals, other.vals
+        out = [f.rsub(x, y) for x, y in zip(a, b)]
+        out.extend(a[len(b) :] or [f.rneg(y) for y in b[len(a) :]])
+        return Poly(f, out, raw=True)
 
     def __rsub__(self, other):
         other = self._as_poly(other)

@@ -8,9 +8,11 @@ import pytest
 
 from quadcomp import (
     Alphabet,
+    FieldElement,
     FiniteField,
     MonicQuad,
     IndexOutOfRange,
+    NState,
     PartialDfa,
     UnsupportedFormat,
     accepts,
@@ -28,6 +30,7 @@ from quadcomp import (
     to_dot,
     to_json,
 )
+from quadcomp.automaton import _interim_reachable
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -494,3 +497,128 @@ def test_json_with_an_out_of_range_target_is_refused():
     blob["transitions"][0]["to"] = len(blob["states"])
     with pytest.raises(IndexOutOfRange):
         automaton_from_json(json.dumps(blob))
+
+
+def test_both_oracles_refuse_an_out_of_range_letter():
+    # F_3's M rejects the prefix (0,) already, so the bad letter comes later
+    alph = Alphabet.maximal(F3)
+    n_aut = build_interim(alph)
+    m = reverse_subset_prune(n_aut)
+    assert not accepts(m, (0,))
+    for word in ((0, 7), (2, 2, 7), (7,), (0, -1)):
+        with pytest.raises(IndexOutOfRange):
+            accepts(m, word)
+        with pytest.raises(IndexOutOfRange):
+            lazy_accepts(n_aut, word)
+
+
+def merge_reference(n_aut):
+    """Reference merge: the merged machine's transitions computed again from
+    the letters, one field operation at a time."""
+    field = n_aut.field
+    q = field.q
+    raws = list(field.iter_raw())
+    states = [NState("initial", None)]
+    states += [NState("reg", FieldElement(field, v)) for v in raws]
+    accepting = [True] + [field.is_nonsquare_raw(v) for v in raws]
+    delta = []
+    for quad in n_aut.alphabet:
+        a, b = quad.a.val, quad.b.val
+        row = [0] * (q + 1)
+        row[0] = 1 + field.index_of_raw(field.rneg(b))
+        for i, v in enumerate(raws):
+            s = field.rsub(v, a)
+            image = field.rsub(field.rmul(s, s), b)
+            row[1 + i] = 1 + field.index_of_raw(image)
+        delta.append(tuple(row))
+    return states, accepting, delta
+
+
+def assert_same_merge(alph):
+    merged = merge_dist_reg(build_interim(alph))
+    states, accepting, delta = merge_reference(merged)
+    assert merged.merged
+    assert list(merged.states) == states
+    assert list(merged.accepting) == accepting
+    assert list(merged.delta) == delta
+    assert merge_dist_reg(merged) is merged
+
+
+def test_merge_matches_the_letter_by_letter_reference():
+    F13 = FiniteField(13)
+    for field in (F5, F9, F13, F25):
+        assert_same_merge(Alphabet.maximal(field))
+    rng = random.Random(2024)
+    fields = (F5, F9, F13, FiniteField(17), F25)
+    for i in range(20):
+        assert_same_merge(random_alphabet(rng, fields[i % 5], rng.randint(1, 4)))
+
+
+def canonical_reference(m_aut):
+    """Reference canonical form: BFS with a deque over the transition dict."""
+    number = {m_aut.start: 0}
+    queue = deque([m_aut.start])
+    while queue:
+        s = queue.popleft()
+        for j in range(len(m_aut.alphabet)):
+            t = m_aut.trans.get((s, j))
+            if t is not None and t not in number:
+                number[t] = len(number)
+                queue.append(t)
+    edges = sorted(
+        (number[s], j, number[t])
+        for (s, j), t in m_aut.trans.items()
+        if s in number and t in number
+    )
+    return (m_aut.n_states, len(number), tuple(edges))
+
+
+def interim_reachable_reference(n_aut):
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        s = queue.popleft()
+        for row in n_aut.delta:
+            if row[s] not in seen:
+                seen.add(row[s])
+                queue.append(row[s])
+    return sorted(seen)
+
+
+def test_canonical_form_matches_the_deque_reference():
+    rng = random.Random(99)
+    moved_start = unreachable = 0
+    for _ in range(200):
+        n = rng.randrange(1, 14)
+        alph = Alphabet.maximal(F3) if rng.random() < 0.5 else example_alphabet()
+        dense = rng.choice((0.2, 0.5, 0.9))
+        trans = {(s, j): rng.randrange(n)
+                 for s in range(n) for j in range(len(alph)) if rng.random() < dense}
+        m = PartialDfa(alph.field, alph, n, trans, start=rng.randrange(n))
+        got = canonical_form(m)
+        assert got == canonical_reference(m)
+        assert all(type(v) is int for edge in got[2] for v in edge)
+        moved_start += m.start != 0
+        unreachable += got[1] < n
+    assert moved_start > 0 and unreachable > 0
+    for alph in (example_alphabet(), Alphabet.maximal(F5)):
+        m = reverse_subset_prune(build_interim(alph))
+        assert canonical_form(m) == canonical_reference(m)
+        assert canonical_form(minimize(m)) == canonical_reference(minimize(m))
+
+
+def test_trimmed_dot_keeps_the_reachable_interim_states():
+    automata = []
+    for alph in (Alphabet.maximal(F5), Alphabet.maximal(F9), example_alphabet()):
+        n_aut = build_interim(alph)
+        automata += [n_aut, merge_dist_reg(n_aut)]
+    trimmed = 0
+    for n_aut in automata:
+        keep = interim_reachable_reference(n_aut)
+        assert _interim_reachable(n_aut) == keep
+        dot = to_dot(n_aut, trim=True)
+        nodes = [line.split(" [shape")[0].strip() for line in dot.splitlines()
+                 if "[shape=" in line and "__start" not in line]
+        assert nodes == ['"%s"' % n_aut.states[t].label() for t in keep]
+        trimmed += len(keep) < n_aut.n_states
+    assert trimmed > 0

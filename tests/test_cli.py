@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quadcomp import FiniteField, build_interim
+from quadcomp import FiniteField, build_interim, enumerate_irreducible_degree
 from quadcomp.cli import CliError, _parse_alphabet, _prime_power, main
 
 EX1 = "a=0 b=2;a=1 b=3"
@@ -138,6 +138,14 @@ def test_enumerate_polynomials(capsys):
                      "-n", "2", "--annotate")
     assert rc == 0
     assert out == ["2,0,1,0,1  word=ff", "2,3,0,1,1  word=fg", "1,2,3,1,1  word=gg"]
+
+
+def test_enumerate_maximal_polynomials_match_the_library(capsys):
+    rc, out, _ = run(capsys, "enumerate", "--q", "5", "-n", "3")
+    assert rc == 0
+    want = [poly.csv() for poly in enumerate_irreducible_degree(FiniteField(5), 3)]
+    assert len(want) > 5
+    assert out == want
 
 
 def test_enumerate_words(capsys):

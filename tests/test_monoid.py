@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from quadcomp import (
     Poly,
     a_fibers,
     collision_search,
+    compose_chain,
     distinguished_set,
     freedom_certificate,
     pi,
@@ -175,3 +177,23 @@ def test_suffix_extension_preserves_relation():
     u, v = (0, 2), (1, 0)
     for w in product(range(3), repeat=2):
         assert pi(w + u, coll) == pi(w + v, coll)
+
+
+def test_compose_chain_matches_a_fold_of_compose():
+    rng = random.Random(5)
+    for field in (FiniteField(3, 2), FiniteField(5, 2)):
+        elems = list(field.elements())
+        letters = [MonicQuad(rng.choice(elems[1:]), rng.choice(elems)) for _ in range(4)]
+        assert all(not quad.a.is_zero() for quad in letters)
+        x = Poly.x(field)
+        for inner in (x, x - rng.choice(elems[1:])):
+            assert compose_chain([], inner) == inner
+            for t in range(1, 5):
+                chain = letters[:t]
+                want = inner
+                for quad in reversed(chain):
+                    want = quad.to_poly().compose(want)
+                assert compose_chain(chain, inner) == want
+                assert want.degree == 2**t
+        with pytest.raises(ValueError):
+            compose_chain(letters, Poly.x(F3))

@@ -236,3 +236,36 @@ def test_newton_powmod_matches_square_and_reduce():
         for steps in range(4):
             assert powmod_frobenius(steps, f) == y, (degree, steps)
             y = power_by_divmod(y, F9.q, f)
+
+
+def coefficientwise(f, g, op):
+    """Reference sum or difference: pad both operands, one op per index."""
+    field = f.field
+    n = max(len(f.vals), len(g.vals))
+    a = list(f.vals) + [field.zero_raw] * (n - len(f.vals))
+    b = list(g.vals) + [field.zero_raw] * (n - len(g.vals))
+    return Poly(field, [op(x, y) for x, y in zip(a, b)], raw=True)
+
+
+def test_add_and_sub_match_coefficientwise_results():
+    rng = random.Random(11)
+    for field in (F3, F9):
+        c = field.raw_from_index(rng.randrange(1, field.q))
+        const = Poly(field, [c], raw=True)
+        short, long = random_poly(field, 3, rng), random_poly(field, 9, rng)
+        # same length and leading coefficient, so the leading terms cancel
+        twin = Poly(field, list(random_poly(field, 8, rng).vals) + [long.vals[-1]], raw=True)
+        zero = Poly.zero(field)
+        pairs = [(const, long), (long, const), (short, long), (long, short),
+                 (long, twin), (twin, long), (long, long), (zero, long),
+                 (long, zero), (zero, zero), (const, zero)]
+        for f, g in pairs:
+            assert (f + g).vals == coefficientwise(f, g, field.radd).vals, (field, f, g)
+            assert (f - g).vals == coefficientwise(f, g, field.rsub).vals, (field, f, g)
+        assert (long - twin).degree < long.degree
+        assert (long - long).is_zero
+        element = const.coeff(0)  # a FieldElement operand, on either side
+        assert (long + element).vals == coefficientwise(long, const, field.radd).vals
+        assert (long - element).vals == coefficientwise(long, const, field.rsub).vals
+        assert (element - long).vals == coefficientwise(const, long, field.rsub).vals
+        assert (element + long).vals == coefficientwise(const, long, field.radd).vals
