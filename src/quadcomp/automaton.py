@@ -60,22 +60,15 @@ class InterimAutomaton:
         self.accepting = tuple(accepting)
         self.delta = tuple(tuple(row) for row in delta)
         self.merged = merged
-        self._mask = None
         self._pre_memo = {}
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
-    @property
+    @cached_property
     def accepting_mask(self) -> int:
-        if self._mask is None:
-            m = 0
-            for t, acc in enumerate(self.accepting):
-                if acc:
-                    m |= 1 << t
-            self._mask = m
-        return self._mask
+        return sum(1 << t for t, acc in enumerate(self.accepting) if acc)
 
     def preimage_mask(self, mask: int, letter: int) -> int:
         """Bitmask of states whose `letter` successor lies in `mask`."""
@@ -133,11 +126,16 @@ class PartialDfa:
         self.table = table
         self.start = start
 
+    def edges(self):
+        """(state, letter, target) of every transition, in (state, letter) order."""
+        s, j = np.nonzero(self.table >= 0)
+        return zip(s.tolist(), j.tolist(), self.table[s, j].tolist())
+
     @cached_property
     def trans(self) -> dict:
-        """{(state, letter): target}, in (state, letter) order."""
-        s, j = np.nonzero(self.table >= 0)
-        return dict(zip(zip(s.tolist(), j.tolist()), self.table[s, j].tolist()))
+        """{(state, letter): target}, in (state, letter) order; derived from
+        `table` on first use and kept."""
+        return {(s, j): t for s, j, t in self.edges()}
 
     def __eq__(self, other):
         if not isinstance(other, PartialDfa):
@@ -255,12 +253,12 @@ def _pack(rows: np.ndarray) -> np.ndarray:
 
 def accepts(m_aut: PartialDfa, word: Sequence[int]) -> bool:
     """Walk the partial DFA; undefined transitions reject."""
+    table = m_aut.table
     state = m_aut.start
     for j in m_aut.alphabet.check_word(word):
-        nxt = m_aut.trans.get((state, j))
-        if nxt is None:
+        state = table.item(state, j)
+        if state < 0:
             return False
-        state = nxt
     return True
 
 
@@ -432,7 +430,7 @@ def to_dot(aut, trim: bool = False) -> str:
         for s in range(aut.n_states):
             lines.append("  %s [shape=doublecircle];" % _dot_name(s))
         lines.append("  __start -> %s;" % _dot_name(aut.start))
-        for (s, j), t in sorted(aut.trans.items()):
+        for s, j, t in aut.edges():
             lines.append(
                 "  %s -> %s [label=\"%s\"];"
                 % (_dot_name(s), _dot_name(t), aut.alphabet.letter_name(j))
@@ -476,7 +474,7 @@ def to_json(aut) -> str:
         doc["start"] = aut.start
         doc["states"] = [{"id": t, "accepting": True} for t in range(aut.n_states)]
         doc["transitions"] = [
-            {"from": s, "letter": j, "to": t} for (s, j), t in sorted(aut.trans.items())
+            {"from": s, "letter": j, "to": t} for s, j, t in aut.edges()
         ]
     else:
         raise UnsupportedFormat("cannot serialize %r" % type(aut).__name__)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from .automaton import (
@@ -25,44 +26,37 @@ from .automaton import (
     reverse_subset_prune,
     to_json,
 )
-from .errors import (
-    BudgetExceeded,
-    EmptyChain,
-    NotDecomposable,
-    NotIrreducible,
-)
+from .errors import BudgetExceeded, NotDecomposable, NotIrreducible
 from .finite_field import FiniteField, is_prime
 from .irreducibility import (
     IRREDUCIBLE,
+    NOT_DECOMPOSABLE,
     REDUCIBLE,
+    _shifted_compositions,
     canonicalize,
     chain_irreducible,
     full_decompose,
     iter_levels,
     test_decomposable,
 )
-from .local_field import (
-    PRECONDITION_FAILED,
-    DEFAULT_PRECISION,
-    PadicInt,
-    PadicQuad,
-    local_irreducible,
-)
-from .monoid import (
-    Alphabet,
-    MonicQuad,
-    collision_search,
-    compose_chain,
-    freedom_certificate,
-    pi,
-)
-from .polynomial import Poly
+from .local_field import DEFAULT_PRECISION, PadicInt, PadicQuad, local_irreducible
+from .monoid import Alphabet, MonicQuad, collision_search, freedom_certificate, pi
+from .polynomial import Poly, _split_csv
 
 DEFAULT_OUTPUT_BUDGET = 1_000_000
 
 
 class CliError(Exception):
     """Bad usage or unparseable input; maps to exit code 2."""
+
+
+@contextmanager
+def _usage_errors():
+    """Re-raise a ValueError from the library as a CliError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _prime_power(q: int):
@@ -99,60 +93,39 @@ def _field_from_args(args) -> FiniteField:
             raise CliError("characteristic 2 unsupported")
     else:
         raise CliError("a field is required: --q or --p (with --k)")
-    try:
+    with _usage_errors():
         return FiniteField(p, k)
-    except ValueError as exc:
-        raise CliError(str(exc))
 
 
-def _parse_element(field: FiniteField, text: str):
-    try:
-        return field.parse_element(text)
-    except ValueError as exc:
-        raise CliError(str(exc))
+def _parse_letters(text: str, value) -> list:
+    """(a, b) of each letter 'a=<v> b=<v>' in text, letters joined by ';'.
+
+    A letter splits into pieces at whitespace and at commas outside [...]
+    element literals.  `value` maps each coefficient's text; a defaults
+    to 0.
+    """
+    letters = []
+    for part in text.split(";"):
+        pieces = [piece for chunk in _split_csv(part) for piece in chunk.split()]
+        if not pieces:
+            raise CliError("empty letter in %r" % text)
+        coeffs = {"a": "0"}
+        for piece in pieces:
+            if piece[:2] not in ("a=", "b="):
+                raise CliError("cannot parse %r; expected a=<v> b=<v>" % part.strip())
+            coeffs[piece[0]] = piece[2:]
+        if "b" not in coeffs:
+            raise CliError("letter %r is missing b=" % part.strip())
+        letters.append((value(coeffs["a"]), value(coeffs["b"])))
+    return letters
 
 
 def _parse_alphabet(field: FiniteField, text: str) -> Alphabet:
     if text.strip() == "maximal":
         return Alphabet.maximal(field)
-    letters: List[MonicQuad] = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            raise CliError("empty letter in alphabet %r" % text)
-        a_val = field.zero
-        b_val = None
-        for piece in part.replace(",", " ").split():
-            if piece.startswith("a="):
-                a_val = _parse_element(field, piece[2:])
-            elif piece.startswith("b="):
-                b_val = _parse_element(field, piece[2:])
-            else:
-                raise CliError("cannot parse %r; expected a=<elem> b=<elem>" % part)
-        if b_val is None:
-            raise CliError("letter %r is missing b=" % part)
-        letters.append(MonicQuad(a_val, b_val))
-    try:
+    with _usage_errors():
+        letters = [MonicQuad(a, b) for a, b in _parse_letters(text, field.parse_element)]
         return Alphabet(field, letters)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
-def _parse_word(alphabet: Alphabet, text: str) -> tuple:
-    try:
-        word = alphabet.parse_word(text)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    if not word:
-        raise CliError("word must be nonempty")
-    return word
-
-
-def _parse_poly(field: FiniteField, text: str) -> Poly:
-    try:
-        return Poly.parse(field, text)
-    except ValueError as exc:
-        raise CliError(str(exc))
 
 
 def _format_word(alphabet: Alphabet, word, innermost_first: bool) -> str:
@@ -184,7 +157,7 @@ def _text_automaton(name: str, aut) -> List[str]:
             "%s: partial DFA over F_%d, %d states, start %d, all states accepting"
             % (name, field.q, aut.n_states, aut.start)
         )
-        for (s, l), t in sorted(aut.trans.items()):
+        for s, l, t in aut.edges():
             lines.append("%d --%s--> %d" % (s, names[l], t))
     return lines
 
@@ -194,10 +167,8 @@ def cmd_build(args) -> int:
     alphabet = _parse_alphabet(field, args.alphabet)
     n_aut = build_interim(alphabet)
     if args.merge:
-        try:
+        with _usage_errors():
             n_aut = merge_dist_reg(n_aut)
-        except ValueError as exc:
-            raise CliError(str(exc))
     pieces = []
     if args.emit in ("N", "both"):
         pieces.append(("N", n_aut))
@@ -222,35 +193,42 @@ def cmd_build(args) -> int:
     return 0
 
 
-# -- test --------------------------------------------------------------------
+# -- test / local ------------------------------------------------------------
 
 
-def cmd_test(args) -> int:
-    field = _field_from_args(args)
-    if (args.word is None) == (args.poly is None):
-        raise CliError("exactly one of --word or --poly is required")
-    if args.word is not None:
-        alphabet = _parse_alphabet(field, args.alphabet)
-        word = _parse_word(alphabet, args.word)
-        report = chain_irreducible(word, alphabet)
-        if report.irreducible:
-            print("Irreducible")
-            return 0
-        print("Reducible (witness index %d)" % report.first_failure)
-        return 1
-    poly = _parse_poly(field, args.poly)
-    try:
-        verdict = test_decomposable(poly)
-    except ValueError as exc:
-        raise CliError(str(exc))
+def _print_verdict(verdict) -> int:
+    """Print a chain, decomposition or local verdict; return its exit code."""
     if verdict.status == IRREDUCIBLE:
         print("Irreducible")
         return 0
     if verdict.status == REDUCIBLE:
         print("Reducible (witness index %d)" % verdict.witness)
         return 1
-    print("NotDecomposable")
+    print("NotDecomposable" if verdict.status == NOT_DECOMPOSABLE else "PreconditionFailed")
     return 3
+
+
+def cmd_test(args) -> int:
+    field = _field_from_args(args)
+    if (args.word is None) == (args.poly is None):
+        raise CliError("exactly one of --word or --poly is required")
+    with _usage_errors():
+        if args.word is not None:
+            alphabet = _parse_alphabet(field, args.alphabet)
+            verdict = chain_irreducible(alphabet.parse_word(args.word), alphabet)
+        else:
+            verdict = test_decomposable(Poly.parse(field, args.poly))
+    return _print_verdict(verdict)
+
+
+def cmd_local(args) -> int:
+    with _usage_errors():
+        chain = [
+            PadicQuad(PadicInt(args.p, a, args.precision), PadicInt(args.p, b, args.precision))
+            for a, b in _parse_letters(args.chain, int)
+        ]
+        verdict = local_irreducible(chain)
+    return _print_verdict(verdict)
 
 
 # -- enumerate / count -------------------------------------------------------
@@ -283,21 +261,16 @@ def cmd_enumerate(args) -> int:
             raise BudgetExceeded(
                 "%d polynomials exceed the budget %d" % (field.q * len(words), args.budget)
             )
-        for shift in field.elements():
-            inner = Poly.x(field) - shift
-            for word in words:
-                line = compose_chain([alphabet[j] for j in word], inner).csv()
-                if args.annotate:
-                    line += "  shift=%s word=%s" % (
-                        shift,
-                        _format_word(alphabet, word, args.innermost_first),
-                    )
-                print(line)
-        return 0
-    for word in words:
-        line = pi(word, alphabet).csv()
+        rows = _shifted_compositions(alphabet, words)
+    else:
+        rows = ((None, word, pi(word, alphabet)) for word in words)
+    for shift, word, poly in rows:
+        line = poly.csv()
         if args.annotate:
-            line += "  word=%s" % _format_word(alphabet, word, args.innermost_first)
+            shown = "word=" + _format_word(alphabet, word, args.innermost_first)
+            if shift is not None:
+                shown = "shift=%s %s" % (shift, shown)
+            line += "  " + shown
         print(line)
     return 0
 
@@ -342,65 +315,20 @@ def cmd_freedom(args) -> int:
     return 0
 
 
-# -- local -------------------------------------------------------------------
-
-
-def _parse_local_chain(p: int, prec: int, text: str) -> List[PadicQuad]:
-    chain = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            raise CliError("empty letter in chain %r" % text)
-        a_int, b_int = 0, None
-        for piece in part.replace(",", " ").split():
-            if piece.startswith("a="):
-                a_int = int(piece[2:])
-            elif piece.startswith("b="):
-                b_int = int(piece[2:])
-            else:
-                raise CliError("cannot parse %r; expected a=<int> b=<int>" % part)
-        if b_int is None:
-            raise CliError("letter %r is missing b=" % part)
-        chain.append(PadicQuad(PadicInt(p, a_int, prec), PadicInt(p, b_int, prec)))
-    return chain
-
-
-def cmd_local(args) -> int:
-    if args.p is None:
-        raise CliError("--p is required")
-    if args.precision < 1:
-        raise CliError("precision must be >= 1")
-    try:
-        chain = _parse_local_chain(args.p, args.precision, args.chain)
-        verdict = local_irreducible(chain)
-    except (EmptyChain, ValueError) as exc:
-        raise CliError(str(exc))
-    if verdict.status == IRREDUCIBLE:
-        print("Irreducible")
-        return 0
-    if verdict.status == REDUCIBLE:
-        print("Reducible (witness index %d)" % verdict.witness)
-        return 1
-    print("PreconditionFailed")
-    return 3
-
-
 # -- canonicalize / decompose -------------------------------------------------
 
 
 def cmd_canonicalize(args) -> int:
     field = _field_from_args(args)
-    poly = _parse_poly(field, args.poly)
-    try:
-        shift, word = canonicalize(poly)
-    except NotIrreducible:
-        print("NotIrreducible")
-        return 1
-    except NotDecomposable:
-        print("NotDecomposable")
-        return 3
-    except ValueError as exc:
-        raise CliError(str(exc))
+    with _usage_errors():
+        try:
+            shift, word = canonicalize(Poly.parse(field, args.poly))
+        except NotIrreducible:
+            print("NotIrreducible")
+            return 1
+        except NotDecomposable:
+            print("NotDecomposable")
+            return 3
     print("shift: %s" % shift)
     print("word: %s" % Alphabet.maximal(field).format_word(word))
     return 0
@@ -408,14 +336,12 @@ def cmd_canonicalize(args) -> int:
 
 def cmd_decompose(args) -> int:
     field = _field_from_args(args)
-    poly = _parse_poly(field, args.poly)
-    try:
-        chain = full_decompose(poly)
-    except NotDecomposable:
-        print("NotDecomposable")
-        return 3
-    except ValueError as exc:
-        raise CliError(str(exc))
+    with _usage_errors():
+        try:
+            chain = full_decompose(Poly.parse(field, args.poly))
+        except NotDecomposable:
+            print("NotDecomposable")
+            return 3
     print("chain: %s" % ", ".join(str(b) for b in chain.bs))
     print("shift: %s" % chain.shift)
     return 0
@@ -433,10 +359,10 @@ def _add_field_args(sub) -> None:
     )
 
 
-def _add_alphabet_arg(sub, required: bool = False) -> None:
+def _add_alphabet_arg(sub) -> None:
     sub.add_argument(
         "--alphabet",
-        default=None if required else "maximal",
+        default="maximal",
         help="'maximal' or letters 'a=<elem> b=<elem>' separated by ';' (a defaults to 0)",
     )
 

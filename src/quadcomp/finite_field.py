@@ -10,7 +10,7 @@ are immutable.
 from __future__ import annotations
 
 from itertools import product as _iproduct
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import InvalidDegree, NotOddPrime
 

@@ -57,6 +57,14 @@ class ChainReport:
     def irreducible(self) -> bool:
         return self.first_failure is None
 
+    @property
+    def status(self) -> str:
+        return IRREDUCIBLE if self.first_failure is None else REDUCIBLE
+
+    @property
+    def witness(self) -> Optional[int]:
+        return self.first_failure
+
 
 def chain_value(prefix: Sequence[MonicQuad], letter: MonicQuad) -> FieldElement:
     """The chain value for `letter` following the outer letters `prefix`.
@@ -172,11 +180,22 @@ def enumerate_irreducible_degree(field: FiniteField, n: int) -> Iterator[Poly]:
     if n < 1:
         raise ValueError("level must be >= 1")
     alphabet = Alphabet.maximal(field)
-    chains = [[alphabet[j] for j in word] for word, _ in enumerate_level(alphabet, n)]
+    words = [word for word, _ in enumerate_level(alphabet, n)]
+    for _, _, poly in _shifted_compositions(alphabet, words):
+        yield poly
+
+
+def _shifted_compositions(
+    alphabet: Alphabet, words: Sequence[Tuple[int, ...]]
+) -> Iterator[Tuple[FieldElement, Tuple[int, ...], Poly]]:
+    """(shift, word, pi(word)(x - shift)) with shifts in field element
+    order (outer loop) and words in the given order."""
+    field = alphabet.field
+    chains = [[alphabet[j] for j in word] for word in words]
     for shift in field.elements():
         inner = Poly.x(field) - shift
-        for letters in chains:
-            yield compose_chain(letters, inner)
+        for word, letters in zip(words, chains):
+            yield shift, word, compose_chain(letters, inner)
 
 
 @dataclass(frozen=True)
@@ -276,9 +295,7 @@ def test_decomposable(F: Poly) -> DecompositionVerdict:
     except NotDecomposable:
         return DecompositionVerdict(NOT_DECOMPOSABLE)
     report = letter_chain([MonicQuad(field.zero, a) for a in chain.bs])
-    if report.irreducible:
-        return DecompositionVerdict(IRREDUCIBLE, chain=chain)
-    return DecompositionVerdict(REDUCIBLE, witness=report.first_failure, chain=chain)
+    return DecompositionVerdict(report.status, report.witness, chain)
 
 
 def canonicalize(F: Poly) -> Tuple[FieldElement, Tuple[int, ...]]:

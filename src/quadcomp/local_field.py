@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import DegreeTooSmall, EmptyChain, NotOddPrime
 from .finite_field import FieldElement, FiniteField, is_prime
-from .irreducibility import IRREDUCIBLE, REDUCIBLE, ChainReport, letter_chain
+from .irreducibility import IRREDUCIBLE, ChainReport, letter_chain
 from .monoid import MonicQuad
 from .polynomial import Poly, discriminant
 
@@ -177,9 +177,7 @@ def local_irreducible(chain: Sequence[PadicQuad]) -> LocalVerdict:
         return LocalVerdict(PRECONDITION_FAILED)
     field = FiniteField(p)
     report = letter_chain([quad.reduce(field) for quad in chain])
-    if report.irreducible:
-        return LocalVerdict(IRREDUCIBLE, report=report)
-    return LocalVerdict(REDUCIBLE, witness=report.first_failure, report=report)
+    return LocalVerdict(report.status, report.witness, report)
 
 
 def disc_composition(g: Poly, f: MonicQuad) -> FieldElement:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, EmptyAlphabet, IndexOutOfRange
 from .finite_field import FieldElement, FiniteField

@@ -30,6 +30,7 @@ from quadcomp import (
     to_dot,
     to_json,
 )
+from quadcomp import cli
 from quadcomp.automaton import _interim_reachable
 
 F3 = FiniteField(3)
@@ -473,6 +474,26 @@ def test_table_pipeline_never_builds_the_transition_dict():
     assert "trans" not in vars(mm)
     assert mm.trans == moore_reference(m).trans
     assert "trans" in vars(mm)
+
+
+def test_table_consumers_never_build_the_transition_dict(monkeypatch, capsys):
+    m = reverse_subset_prune(build_interim(Alphabet.maximal(F7)))
+    accepts(m, (1, 2, 3))
+    to_dot(m)
+    to_json(m)
+    assert "trans" not in vars(m)
+    built = []
+
+    def spy(n_aut):
+        built.append(reverse_subset_prune(n_aut))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "reverse_subset_prune", spy)
+    assert cli.main(["build", "--q", "7", "--emit", "M"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 + np.count_nonzero(built[0].table >= 0)
+    assert "trans" not in vars(built[0])
+    assert list(m.edges()) == [(s, j, t) for (s, j), t in sorted(m.trans.items())]
 
 
 def test_partial_dfa_checks_its_transitions():

@@ -73,6 +73,13 @@ def test_degree_validation():
         rabin_irreducible_2power(F5, from_polys(F5, [Poly.parse(F5, "1,1")]))
 
 
+def test_non_monic_rows_are_refused():
+    rows = from_polys(F5, [Poly.parse(F5, "1,0,1")])
+    rows[:, -1] = 2
+    with pytest.raises(ValueError, match="monic"):
+        rabin_irreducible_2power(F5, rows)
+
+
 def test_from_polys_validation():
     with pytest.raises(ValueError):
         from_polys(F5, [])

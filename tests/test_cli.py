@@ -1,8 +1,16 @@
 import json
+from itertools import product
 
 import pytest
 
-from quadcomp import FiniteField, build_interim, enumerate_irreducible_degree
+from quadcomp import (
+    Alphabet,
+    FiniteField,
+    MonicQuad,
+    build_interim,
+    chain_irreducible,
+    enumerate_irreducible_degree,
+)
 from quadcomp.cli import CliError, _parse_alphabet, _prime_power, main
 
 EX1 = "a=0 b=2;a=1 b=3"
@@ -241,3 +249,60 @@ def test_prime_power_splits_q_by_integer_roots():
     for q in (1, 2):
         with pytest.raises(CliError, match="q must be an odd prime power >= 3, got %d" % q):
             _prime_power(q)
+
+
+F9 = FiniteField(3, 2)
+
+
+def verdict_line(report):
+    if report.irreducible:
+        return ["Irreducible"]
+    return ["Reducible (witness index %d)" % report.first_failure]
+
+
+def test_bracket_letters_over_f9(capsys):
+    t = F9.parse_element("[0,1]")
+    assert t == (1 - t) * (1 - t)  # so b = t is a square
+    rc, out, _ = run(capsys, "test", "--q", "9", "--alphabet", "a=[1,0] b=[0,1]",
+                     "--word", "f")
+    assert rc == 1 and out == ["Reducible (witness index 1)"]
+    alphabet = Alphabet(F9, [MonicQuad(F9.parse_element("[1,0]"), t)])
+    assert out == verdict_line(chain_irreducible((0,), alphabet))
+
+
+def test_commas_outside_brackets_split_letter_pieces(capsys):
+    text = "a=[1,0],b=[0,1];b=[2,2]"
+    alphabet = _parse_alphabet(F9, text)
+    el = F9.parse_element
+    assert alphabet.letters == (
+        MonicQuad(el("[1,0]"), el("[0,1]")),
+        MonicQuad(F9.zero, el("[2,2]")),
+    )
+    verdicts = set()
+    for n in (1, 2, 3):
+        for word in product(range(2), repeat=n):
+            rc, out, _ = run(capsys, "test", "--p", "3", "--k", "2", "--alphabet", text,
+                             "--word", alphabet.format_word(word))
+            want = chain_irreducible(word, alphabet)
+            assert out == verdict_line(want)
+            assert rc == (0 if want.irreducible else 1)
+            verdicts.add(rc)
+    assert verdicts == {0, 1}
+
+
+def test_local_chain_shares_the_letter_grammar(capsys):
+    rc, out, _ = run(capsys, "local", "--p", "5", "--chain", "a=1,b=3")
+    assert rc == 0 and out == ["Irreducible"]
+
+
+def test_refusals_exit_with_usage_errors(capsys):
+    for argv in (
+        ("test", "--q", "5", "--alphabet", "a=0 b=2;;a=1 b=3", "--word", "f"),
+        ("test", "--q", "5", "--alphabet", "c=1 b=2", "--word", "f"),
+        ("local", "--p", "5", "--chain", "b=7;;b=3"),
+        ("test", "--q", "5", "--alphabet", EX1, "--word", ""),
+        ("count", "--q", "5", "-n", "-1"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, []), argv
+        assert err.startswith("error: "), argv
