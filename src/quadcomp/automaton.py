@@ -17,6 +17,7 @@ word by word without materializing M.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -284,32 +285,53 @@ def lazy_accepts(n_aut: InterimAutomaton, word: Sequence[int]) -> bool:
 def count_accepted(m_aut: PartialDfa, n: int) -> int:
     """Number of accepted words of length exactly n (path counting).
 
-    Edges are sorted by target once; each step sums the counts of every
-    target's sources with np.add.reduceat.  No count after i steps exceeds
-    L**i, the number of words of length i over L letters, so steps run in
-    int64 while L**i < 2**63 and then in object arrays of Python ints,
-    which stay exact past 2**63.
+    Every state of M accepts, so the count is met in the middle: it is the
+    dot product of fwd, where fwd[s] counts the words of length i leading
+    from the start to s, and bwd, where bwd[s] counts the words of length
+    n - i readable from s.  Both step over one pair of edge arrays: a
+    forward step adds each source's count into its targets, a backward
+    step each target's count into its sources.  With d the largest
+    out-degree, a forward step gives counts of at most sum(fwd) * d and a
+    backward step at most max(bwd) * d; the side with the smaller bound
+    steps next, in int64, while that bound stays below 2**63.  Once both
+    bounds reach 2**63 the remaining steps go forward in object arrays of
+    Python ints, which stay exact past 2**63.  The dot product is taken in
+    Python ints.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
-    defined = m_aut.table >= 0
-    src, _ = np.nonzero(defined)
-    tgt = m_aut.table[defined]
-    order = np.argsort(tgt, kind="stable")
-    src, tgt = src[order], tgt[order]
-    starts = np.flatnonzero(np.diff(tgt, prepend=-1))
-    tgts = tgt[starts]
-    counts = np.zeros(m_aut.n_states, dtype=np.int64)
-    counts[m_aut.start] = 1
-    words = 1
-    for _ in range(n):
-        words *= len(m_aut.alphabet)
-        if words >= 2**63 and counts.dtype != object:
-            counts = counts.astype(object)
-        nxt = np.zeros_like(counts)
-        nxt[tgts] = np.add.reduceat(counts[src], starts)
-        counts = nxt
-    return int(counts.sum())
+    table = m_aut.table
+    flat = np.flatnonzero(table >= 0)
+    src, tgt = flat // table.shape[1], table.ravel()[flat]
+    out_degree = int(np.bincount(src, minlength=1).max())
+    fwd = np.zeros(m_aut.n_states, dtype=np.int64)
+    fwd[m_aut.start] = 1
+    bwd = np.ones(m_aut.n_states, dtype=np.int64)
+    steps = n
+    while steps:
+        fwd_bound = int(fwd.sum()) * out_degree
+        bwd_bound = int(bwd.max()) * out_degree
+        if min(fwd_bound, bwd_bound) >= 2**63:
+            break
+        if fwd_bound <= bwd_bound:
+            fwd = _path_step(fwd, src, tgt)
+        else:
+            bwd = _path_step(bwd, tgt, src)
+        steps -= 1
+    if steps:
+        fwd = fwd.astype(object)
+    for _ in range(steps):
+        fwd = _path_step(fwd, src, tgt)
+    both = (fwd != 0) & (bwd != 0)
+    return sum(map(operator.mul, fwd[both].tolist(), bwd[both].tolist()))
+
+
+def _path_step(counts: np.ndarray, gather: np.ndarray, scatter: np.ndarray) -> np.ndarray:
+    """One path-counting step: counts[gather[e]] is added into entry
+    scatter[e] of a fresh vector, for every edge e."""
+    nxt = np.zeros_like(counts)
+    np.add.at(nxt, scatter, counts[gather])
+    return nxt
 
 
 def minimize(m_aut: PartialDfa) -> PartialDfa:

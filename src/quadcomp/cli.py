@@ -251,6 +251,8 @@ def cmd_enumerate(args) -> int:
     alphabet = _parse_alphabet(field, args.alphabet)
     if args.n < 1:
         raise CliError("n must be >= 1")
+    if args.budget < 0:
+        raise CliError("budget must be >= 0")
     words = _accepted_words(alphabet, args.n, args.budget)
     if args.words:
         for word in words:
@@ -298,20 +300,24 @@ def cmd_freedom(args) -> int:
     field = _field_from_args(args)
     alphabet = _parse_alphabet(field, args.alphabet)
     cert = freedom_certificate(alphabet)
+    if args.search_depth is not None:
+        # searched before anything is printed, so a refusal leaves stdout empty
+        with _usage_errors():
+            found = collision_search(alphabet, args.search_depth, budget=args.budget)
     if cert:
         print("Free: %s" % cert.reason)
     else:
         print("Unknown: no criterion applies")
-    if args.search_depth is not None:
-        found = collision_search(alphabet, args.search_depth, budget=args.budget)
-        if found is None:
-            print("collision search to length %d: none found" % args.search_depth)
-        else:
-            u, v = found
-            print(
-                "collision: %s and %s compose to the same polynomial"
-                % (alphabet.format_word(u), alphabet.format_word(v))
-            )
+    if args.search_depth is None:
+        return 0
+    if found is None:
+        print("collision search to length %d: none found" % args.search_depth)
+    else:
+        u, v = found
+        print(
+            "collision: %s and %s compose to the same polynomial"
+            % (alphabet.format_word(u), alphabet.format_word(v))
+        )
     return 0
 
 
@@ -354,9 +360,6 @@ def _add_field_args(sub) -> None:
     sub.add_argument("--q", type=int, default=None, help="field size, an odd prime power")
     sub.add_argument("--p", type=int, default=None, help="field characteristic")
     sub.add_argument("--k", type=int, default=1, help="extension degree (with --p)")
-    sub.add_argument(
-        "--seed", type=int, default=None, help="reserved; all commands are deterministic"
-    )
 
 
 def _add_alphabet_arg(sub) -> None:
@@ -419,9 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=int, required=True, help="odd prime")
     s.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     s.add_argument("--chain", required=True, help="letters 'a=<int> b=<int>' separated by ';'")
-    s.add_argument(
-        "--seed", type=int, default=None, help="reserved; all commands are deterministic"
-    )
     s.set_defaults(func=cmd_local)
 
     s = subs.add_parser("canonicalize", help="canonical shift and word of an irreducible")

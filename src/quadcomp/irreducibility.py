@@ -66,6 +66,30 @@ class ChainReport:
         return self.first_failure
 
 
+def _raw_chain_value(field: FiniteField, prefix: Sequence[tuple], b):
+    """The chain value for a letter with raw constant `b` following the
+    outer letters `prefix`, given as raw (a, b) pairs, outermost first.
+
+    With an empty prefix the value is b itself; otherwise it is
+    (prefix_1 o ... o prefix_i)(-b), applied from the innermost prefix
+    letter outward on raw values: ints mod p when k = 1, the field's
+    r*-methods otherwise.
+    """
+    if not prefix:
+        return b
+    if field.k == 1:
+        p = field.p
+        v = -b % p
+        for a, c in reversed(prefix):
+            v = ((v - a) * (v - a) - c) % p
+        return v
+    v = field.rneg(b)
+    for a, c in reversed(prefix):
+        s = field.rsub(v, a)
+        v = field.rsub(field.rmul(s, s), c)
+    return v
+
+
 def chain_value(prefix: Sequence[MonicQuad], letter: MonicQuad) -> FieldElement:
     """The chain value for `letter` following the outer letters `prefix`.
 
@@ -74,28 +98,32 @@ def chain_value(prefix: Sequence[MonicQuad], letter: MonicQuad) -> FieldElement:
     computed by pointwise application from the innermost prefix letter
     outward.
     """
-    if not prefix:
-        return letter.b
-    acc = -letter.b
-    for quad in reversed(prefix):
-        acc = quad(acc)
-    return acc
+    field = letter.field
+    if any(quad.field != field for quad in prefix):
+        raise ValueError("mixed field contexts")
+    pairs = [(quad.a.val, quad.b.val) for quad in prefix]
+    return FieldElement(field, _raw_chain_value(field, pairs, letter.b.val))
 
 
 def letter_chain(letters: Sequence[MonicQuad]) -> ChainReport:
     """Chain report for an explicit letter sequence (outermost first)."""
     if not letters:
         raise EmptyWord("the chain criterion needs at least one letter")
+    field = letters[0].field
+    pairs = []
     values = []
     verdicts = []
     first_failure = None
-    for i in range(len(letters)):
-        value = chain_value(letters[:i], letters[i])
-        ok = value.is_nonsquare()
-        values.append(value)
+    for quad in letters:
+        if quad.field != field:
+            raise ValueError("mixed field contexts")
+        value = _raw_chain_value(field, pairs, quad.b.val)
+        pairs.append((quad.a.val, quad.b.val))
+        ok = field.is_nonsquare_raw(value)
+        values.append(FieldElement(field, value))
         verdicts.append(ok)
         if not ok:
-            first_failure = i + 1
+            first_failure = len(values)
             break
     return ChainReport(tuple(values), tuple(verdicts), first_failure)
 

@@ -239,8 +239,10 @@ def collision_search(
 
     Returns the first collision (u, v) in length-then-lexicographic order,
     or None.  Raises BudgetExceeded once more than `budget` words have
-    been examined.
+    been examined.  A negative `max_len` or `budget` raises ValueError.
     """
+    if max_len < 0 or budget < 0:
+        raise ValueError("max_len and budget must be >= 0")
     alphabet.require_nonempty()
     n = len(alphabet)
     visited = 0

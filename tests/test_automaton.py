@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import deque
 from itertools import product
 
@@ -30,7 +31,7 @@ from quadcomp import (
     to_dot,
     to_json,
 )
-from quadcomp import cli
+from quadcomp import automaton, cli
 from quadcomp.automaton import _interim_reachable
 
 F3 = FiniteField(3)
@@ -643,3 +644,76 @@ def test_trimmed_dot_keeps_the_reachable_interim_states():
         assert nodes == ['"%s"' % n_aut.states[t].label() for t in keep]
         trimmed += len(keep) < n_aut.n_states
     assert trimmed > 0
+
+
+def object_arrays_seen(fn, *args):
+    """(fn(*args), whether a frame of quadcomp.automaton held an object-dtype
+    array at any call or return during the call)."""
+    seen = []
+
+    def profile(frame, event, arg):
+        if frame.f_code.co_filename == automaton.__file__:
+            seen.extend(v.dtype == object for v in frame.f_locals.values()
+                        if isinstance(v, np.ndarray))
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, any(seen)
+
+
+def test_count_accepted_meets_in_the_middle_on_a_loop():
+    # one state with 29 loops: a side's next step is exact in int64 while
+    # 29 ** (i + 1) < 2 ** 63, that is for 12 steps a side, so n <= 24 runs
+    # in int64 with each side stopping at its bound and n >= 25 needs the
+    # object-array fallback for its last n - 24 steps
+    field = FiniteField(29)
+    loop = PartialDfa(field, Alphabet.maximal(field), 1, {(0, j): 0 for j in range(29)})
+    for n in range(41):
+        got, boxed = object_arrays_seen(count_accepted, loop, n)
+        assert got == 29**n, n
+        assert type(got) is int
+        assert boxed == (n > 24), n
+
+
+def test_count_accepted_matches_the_dict_path_counter_across_the_bounds():
+    # M over F_7 grows by up to 7 words a letter, so n = 60 pushes both
+    # sides to their int64 bounds and the last steps through the fallback
+    m = reverse_subset_prune(build_interim(Alphabet.maximal(F7)))
+    boxed_at = []
+    for n in range(61):
+        got, boxed = object_arrays_seen(count_accepted, m, n)
+        assert got == queue_count(m, n), n
+        boxed_at.append(boxed)
+    assert not boxed_at[0] and boxed_at[-1]
+    mm = minimize(m)
+    for n in (0, 1, 17, 40, 60):
+        assert count_accepted(mm, n) == queue_count(m, n)
+
+
+def test_count_accepted_matches_the_dict_path_counter_on_random_dfas():
+    rng = random.Random(9090)
+    moved_start = unreachable = edgeless = 0
+    for _ in range(150):
+        n_states = rng.randrange(1, 12)
+        alph = Alphabet.maximal(F5) if rng.random() < 0.5 else example_alphabet()
+        dense = rng.choice((0.0, 0.3, 0.7, 1.0))
+        trans = {(s, j): rng.randrange(n_states)
+                 for s in range(n_states) for j in range(len(alph)) if rng.random() < dense}
+        m = PartialDfa(alph.field, alph, n_states, trans, start=rng.randrange(n_states))
+        for n in (0, 1, 2, 5, 13, 30, 70):
+            assert count_accepted(m, n) == queue_count(m, n), (trans, m.start, n)
+        moved_start += m.start != 0
+        unreachable += len({m.start} | set(trans.values())) < n_states
+        edgeless += not trans
+    assert moved_start > 0 and unreachable > 0 and edgeless > 0
+
+
+def test_count_accepted_of_m_over_f29_at_length_20_stays_in_int64():
+    field = FiniteField(29)
+    m = reverse_subset_prune(build_interim(Alphabet.maximal(field)))
+    got, boxed = object_arrays_seen(count_accepted, m, 20)
+    assert got > 2**63
+    assert not boxed

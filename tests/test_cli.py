@@ -132,7 +132,7 @@ def test_count_output(capsys):
     assert rc == 0 and out == ["words: 4"]
     rc, out, _ = run(capsys, "count", "--q", "9", "-n", "1")
     assert rc == 0 and out == ["words: 4", "polynomials: 36"]
-    rc, _, _ = run(capsys, "count", "--q", "3", "-n", "0", "--seed", "42")
+    rc, _, _ = run(capsys, "count", "--q", "3", "-n", "0")
     assert rc == 0
 
 
@@ -306,3 +306,27 @@ def test_refusals_exit_with_usage_errors(capsys):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, []), argv
         assert err.startswith("error: "), argv
+
+
+def test_freedom_refuses_negative_counts(capsys):
+    for extra in (("--search-depth", "-1"), ("--budget", "-1", "--search-depth", "1")):
+        rc, out, err = run(capsys, "freedom", "--q", "5", *extra)
+        assert (rc, out) == (2, []), extra
+        assert err.startswith("error: "), extra
+
+
+def test_enumerate_refuses_a_negative_budget(capsys):
+    rc, out, err = run(capsys, "enumerate", "--q", "5", "--alphabet", "b=1;b=2",
+                       "-n", "2", "--budget", "-1")
+    assert (rc, out) == (2, [])
+    assert err.startswith("error: ")
+    rc, out, _ = run(capsys, "enumerate", "--q", "5", "--alphabet", "b=1;b=2",
+                     "-n", "1", "--words", "--budget", "0")
+    assert rc == 4 and out == []
+
+
+def test_no_command_takes_a_seed(capsys):
+    for argv in (("count", "--q", "3", "-n", "0"),
+                 ("local", "--p", "5", "--chain", "a=1 b=3")):
+        rc, out, _ = run(capsys, *argv, "--seed", "42")
+        assert (rc, out) == (2, []), argv

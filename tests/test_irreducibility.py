@@ -1,3 +1,4 @@
+import random
 import warnings
 from itertools import product
 
@@ -6,6 +7,7 @@ import pytest
 from quadcomp import (
     Alphabet,
     CanonicalChain,
+    ChainReport,
     EmptyWord,
     FiniteField,
     FreedomNotCertified,
@@ -107,6 +109,71 @@ def test_letter_chain_plain_sequences():
     letters = [MonicQuad(F5.elem(0), F5.elem(2)), MonicQuad(F5.elem(1), F5.elem(3))]
     assert letter_chain(letters).irreducible
     assert letter_chain(list(reversed(letters))).first_failure == 2
+
+
+def chain_reference(letters):
+    """The chain criterion folded over FieldElements: value i is
+    (f_1 o ... o f_{i-1})(-b_i), or b_1 for i = 1, each letter applied
+    through MonicQuad.__call__; the values stop at the first square."""
+    if not letters:
+        raise EmptyWord("the chain criterion needs at least one letter")
+    values = []
+    for i, letter in enumerate(letters):
+        value = letter.b
+        if i:
+            value = -letter.b
+            for quad in reversed(letters[:i]):
+                value = quad(value)
+        values.append(value)
+        if not value.is_nonsquare():
+            return ChainReport(tuple(values), (True,) * i + (False,), i + 1)
+    return ChainReport(tuple(values), (True,) * len(values), None)
+
+
+def random_letter(field, rng):
+    return MonicQuad(field.elem(field.raw_from_index(rng.randrange(field.q))),
+                     field.elem(field.raw_from_index(rng.randrange(field.q))))
+
+
+def test_letter_chain_matches_the_field_element_fold():
+    rng = random.Random(31337)
+    for field in (F3, F9, FiniteField(5, 2), FiniteField(3, 3),
+                  FiniteField(65537), FiniteField(1_000_003)):
+        full = early = 0
+        for length in range(1, 21):
+            # random words mostly stop early; grown words keep every value
+            # a nonsquare as long as some letter allows it
+            words = [[random_letter(field, rng) for _ in range(length)] for _ in range(2)]
+            grown = []
+            while len(grown) < length:
+                for _ in range(60):
+                    quad = random_letter(field, rng)
+                    if chain_reference(grown + [quad]).irreducible:
+                        break
+                grown.append(quad)
+            for letters in words + [grown]:
+                want = chain_reference(letters)
+                assert letter_chain(letters) == want, (field, letters)
+                assert [chain_value(letters[:i], letters[i])
+                        for i in range(len(want.values))] == list(want.values)
+                full += want.irreducible and length == 20
+                early += want.first_failure is not None and want.first_failure < length
+        assert full and early, field
+
+
+def test_letter_chain_refusals_match_the_field_element_fold():
+    for fn in (letter_chain, chain_reference):
+        with pytest.raises(EmptyWord):
+            fn([])
+        # F_5's b = 2 is a nonsquare, so the second letter is reached
+        with pytest.raises(ValueError):
+            fn([MonicQuad(F5.elem(0), F5.elem(2)), MonicQuad(F3.zero, F3.elem(2))])
+    with pytest.raises(ValueError):
+        chain_value([MonicQuad(F5.elem(0), F5.elem(2))], MonicQuad(F3.zero, F3.elem(2)))
+    # a first value that is a square ends the chain before the other field
+    letters = [MonicQuad(F5.elem(0), F5.elem(1)), MonicQuad(F3.zero, F3.elem(2))]
+    assert letter_chain(letters) == chain_reference(letters)
+    assert letter_chain(letters).first_failure == 1
 
 
 def test_enumerate_level_frozen_sets():

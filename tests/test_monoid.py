@@ -160,6 +160,14 @@ def test_collision_search_free_alphabet():
         collision_search(example_alphabet(), 10, budget=100)
 
 
+def test_collision_search_refuses_negative_counts():
+    with pytest.raises(ValueError):
+        collision_search(example_alphabet(), -1)
+    with pytest.raises(ValueError):
+        collision_search(example_alphabet(), 1, budget=-1)
+    assert collision_search(example_alphabet(), 0, budget=0) is None
+
+
 def test_certified_alphabets_are_collision_free():
     # every 2-letter alphabet over F_3 that the certificate calls free
     # really has no collision up to length 4
