@@ -97,8 +97,9 @@ class FiniteField:
     """Arithmetic context for F_q, q = p^k with p an odd prime.
 
     Raw element values are ints in [0, p) when k == 1 and k-tuples of such
-    ints otherwise.  The r*-methods operate on raw values; use elem() and
-    FieldElement for the checked surface.
+    ints otherwise; zero_raw and one_raw hold the raw 0 and 1.  The
+    r*-methods operate on raw values; use elem() and FieldElement for the
+    checked surface.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -112,9 +113,13 @@ class FiniteField:
         if k == 1:
             self.modulus = None
             self._red = None
+            self.zero_raw = 0
+            self.one_raw = 1
         else:
             self.modulus = _smallest_irreducible(p, k)
             self._red = _reduction_rows(self.modulus, p)
+            self.zero_raw = (0,) * k
+            self.one_raw = (1,) + (0,) * (k - 1)
         self._squares = None
 
     # -- context identity -------------------------------------------------
@@ -134,31 +139,23 @@ class FiniteField:
 
     # -- raw arithmetic ----------------------------------------------------
 
-    @property
-    def zero_raw(self):
-        return 0 if self.k == 1 else (0,) * self.k
-
-    @property
-    def one_raw(self):
-        return 1 if self.k == 1 else (1,) + (0,) * (self.k - 1)
-
     def radd(self, u, v):
         if self.k == 1:
             return (u + v) % self.p
         p = self.p
-        return tuple((a + b) % p for a, b in zip(u, v))
+        return tuple([(a + b) % p for a, b in zip(u, v)])
 
     def rsub(self, u, v):
         if self.k == 1:
             return (u - v) % self.p
         p = self.p
-        return tuple((a - b) % p for a, b in zip(u, v))
+        return tuple([(a - b) % p for a, b in zip(u, v)])
 
     def rneg(self, u):
         if self.k == 1:
             return -u % self.p
         p = self.p
-        return tuple(-a % p for a in u)
+        return tuple([-a % p for a in u])
 
     def rmul(self, u, v):
         if self.k == 1:
@@ -176,7 +173,7 @@ class FiniteField:
                 row = self._red[j - k]
                 for i in range(k):
                     prod[i] += c * row[i]
-        return tuple(c % p for c in prod[:k])
+        return tuple([c % p for c in prod[:k]])
 
     def rpow(self, u, e: int):
         if e < 0:

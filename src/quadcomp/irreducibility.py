@@ -4,7 +4,9 @@ Three routes are provided.  The chain criterion: f_1 o ... o f_t is
 irreducible iff b_1 and every (f_1 o ... o f_{i-1})(-b_i) is a nonsquare.
 The automaton route: lazy or materialized runs of the machinery in
 `automaton`.  The decomposition route: peel outer monic quadratics off a
-polynomial, then test the recovered chain.
+polynomial, then test the recovered chain.  Both the chain criterion and
+the peels work on raw field values; FieldElement and Poly objects are
+built only for the values a caller gets back.
 
 Levels: enumerate_level lists the accepted words of a given length
 together with an opaque resume state, so level n+1 is built from level n
@@ -17,7 +19,8 @@ from __future__ import annotations
 import gc
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .automaton import InterimAutomaton, build_interim
 from .errors import (
@@ -31,7 +34,7 @@ from .errors import (
 )
 from .finite_field import FieldElement, FiniteField
 from .monoid import Alphabet, MonicQuad, compose_chain, freedom_certificate
-from .polynomial import Poly
+from .polynomial import Poly, _mul_raw
 
 IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
@@ -105,27 +108,42 @@ def chain_value(prefix: Sequence[MonicQuad], letter: MonicQuad) -> FieldElement:
     return FieldElement(field, _raw_chain_value(field, pairs, letter.b.val))
 
 
+def _raw_chain(field: FiniteField, pairs: Iterable[tuple]) -> Tuple[list, Optional[int]]:
+    """Chain values of letters given as raw (a, b) pairs, outermost first.
+
+    Returns the raw values up to and including the first square one, and
+    that value's 1-based index, or None when every value is a nonsquare.
+    Pairs are drawn one at a time, so a lazy iterable is read no further
+    than the first square value.
+    """
+    prefix: List[tuple] = []
+    values = []
+    for a, b in pairs:
+        value = _raw_chain_value(field, prefix, b)
+        values.append(value)
+        if not field.is_nonsquare_raw(value):
+            return values, len(values)
+        prefix.append((a, b))
+    return values, None
+
+
+def _letter_pairs(field: FiniteField, letters: Sequence[MonicQuad]) -> Iterator[tuple]:
+    for quad in letters:
+        if quad.field != field:
+            raise ValueError("mixed field contexts")
+        yield quad.a.val, quad.b.val
+
+
 def letter_chain(letters: Sequence[MonicQuad]) -> ChainReport:
     """Chain report for an explicit letter sequence (outermost first)."""
     if not letters:
         raise EmptyWord("the chain criterion needs at least one letter")
     field = letters[0].field
-    pairs = []
-    values = []
-    verdicts = []
-    first_failure = None
-    for quad in letters:
-        if quad.field != field:
-            raise ValueError("mixed field contexts")
-        value = _raw_chain_value(field, pairs, quad.b.val)
-        pairs.append((quad.a.val, quad.b.val))
-        ok = field.is_nonsquare_raw(value)
-        values.append(FieldElement(field, value))
-        verdicts.append(ok)
-        if not ok:
-            first_failure = len(values)
-            break
-    return ChainReport(tuple(values), tuple(verdicts), first_failure)
+    values, first_failure = _raw_chain(field, _letter_pairs(field, letters))
+    verdicts = (True,) * (len(values) - 1) + (first_failure is None,)
+    return ChainReport(
+        tuple([FieldElement(field, v) for v in values]), verdicts, first_failure
+    )
 
 
 def chain_irreducible(word: Sequence[int], alphabet: Alphabet) -> ChainReport:
@@ -243,14 +261,61 @@ class CanonicalChain:
         return tuple(a.index() for a in self.bs)
 
 
-def decompose_quadratic_outer(F: Poly) -> Tuple[FieldElement, Poly]:
-    """Write monic F of degree 2d as (x^2 - a) o H with H monic of degree d.
+def _half_raw(field: FiniteField):
+    """The raw inverse of 2: the F_p constant (p + 1) / 2, embedded in
+    F_{p^k} as a constant coordinate vector."""
+    half = (field.p + 1) // 2
+    return half if field.k == 1 else (half,) + (0,) * (field.k - 1)
+
+
+def _peel_raw(field: FiniteField, fv: list, half) -> Tuple[object, list]:
+    """(a, h) with fv = (x^2 - a) o H, for the raw coefficients fv (low
+    degree first) of a monic polynomial of degree 2d >= 2; h holds the raw
+    coefficients of the monic degree-d H.  `half` is the raw inverse of 2.
 
     The inner part is found by matching coefficients from the top: first
     the unique monic Ht of degree d with Ht(0) = 0 and deg(F - Ht^2) <= d,
     then F = Ht^2 + e1*Ht + e0 must hold exactly, and completing the
     square turns (x^2 + e1*x + e0, Ht) into the normalized pair (a, H).
+    Above degree d, F and Ht^2 agree by the choice of Ht, so only degrees
+    1 .. d - 1 of F - Ht^2 - e1*Ht can hold a nonzero coefficient; and
+    Ht(0) = 0 makes e0 = F(0).
     """
+    d = (len(fv) - 1) // 2
+    h = [field.zero_raw] * (d + 1)
+    h[d] = field.one_raw
+    if field.k == 1:
+        p = field.p
+        for j in range(1, d):
+            seg = h[d - j + 1 : d]
+            h[d - j] = (fv[2 * d - j] - sum(map(mul, seg, reversed(seg)))) * half % p
+        sq = _mul_raw(h, h, field)
+        e1 = (fv[d] - sq[d]) % p
+        if any((fv[i] - sq[i] - e1 * h[i]) % p for i in range(1, d)):
+            raise NotDecomposable("no monic quadratic splits off")
+        c = e1 * half % p
+        a = (c * c - fv[0]) % p
+    else:
+        rsub, rmul = field.rsub, field.rmul
+        for j in range(1, d):
+            s = fv[2 * d - j]
+            for u in range(d - j + 1, d):
+                s = rsub(s, rmul(h[u], h[2 * d - j - u]))
+            h[d - j] = rmul(s, half)
+        sq = _mul_raw(h, h, field)
+        e1 = rsub(fv[d], sq[d])
+        zero = field.zero_raw
+        for i in range(1, d):
+            if rsub(rsub(fv[i], sq[i]), rmul(e1, h[i])) != zero:
+                raise NotDecomposable("no monic quadratic splits off")
+        c = rmul(e1, half)
+        a = rsub(rmul(c, c), fv[0])
+    h[0] = c
+    return a, h
+
+
+def decompose_quadratic_outer(F: Poly) -> Tuple[FieldElement, Poly]:
+    """Write monic F of degree 2d as (x^2 - a) o H with H monic of degree d."""
     deg = F.degree
     if deg < 2:
         raise DegreeTooSmall("degree must be at least 2")
@@ -259,42 +324,43 @@ def decompose_quadratic_outer(F: Poly) -> Tuple[FieldElement, Poly]:
     if not F.is_monic:
         raise ValueError("polynomial must be monic")
     field = F.field
-    d = deg // 2
-    inv2 = field.rinv(field.radd(field.one_raw, field.one_raw))
-    fv = list(F.vals)
-    h = [field.zero_raw] * (d + 1)
-    h[d] = field.one_raw
-    for j in range(1, d):
-        s = fv[2 * d - j]
-        for u in range(d - j + 1, d):
-            s = field.rsub(s, field.rmul(h[u], h[2 * d - j - u]))
-        h[d - j] = field.rmul(s, inv2)
-    ht = Poly(field, h, raw=True)
-    rest = F - ht * ht
-    e1 = rest.coeff(d)
-    linear = rest - e1 * ht
-    if linear.degree > 0:
-        raise NotDecomposable("no monic quadratic splits off")
-    e0 = linear.coeff(0)
-    c = e1 * FieldElement(field, inv2)
-    a = c * c - e0
-    return a, ht + c
+    a, h = _peel_raw(field, list(F.vals), _half_raw(field))
+    return FieldElement(field, a), Poly(field, h, raw=True)
 
 
-def full_decompose(F: Poly) -> CanonicalChain:
-    """Peel outer monic quadratics off F down to a linear polynomial."""
+def _decompose_raw(F: Poly) -> Tuple[list, object]:
+    """The raw (b_1, ..., b_n) and shift of F's canonical chain."""
     deg = F.degree
     if deg < 2 or deg & (deg - 1):
         raise InvalidDegree("degree must be a power of 2, at least 2")
     if not F.is_monic:
         raise ValueError("polynomial must be monic")
+    field = F.field
+    half = _half_raw(field)
     bs = []
-    current = F
-    while current.degree > 1:
-        a, current = decompose_quadratic_outer(current)
+    fv = list(F.vals)
+    while len(fv) > 2:
+        a, fv = _peel_raw(field, fv, half)
         bs.append(a)
-    shift = -current.coeff(0)
-    return CanonicalChain(tuple(bs), shift)
+    return bs, field.rneg(fv[0])
+
+
+def _canonical_chain(field: FiniteField, bs: list, shift) -> CanonicalChain:
+    return CanonicalChain(
+        tuple(FieldElement(field, b) for b in bs), FieldElement(field, shift)
+    )
+
+
+def full_decompose(F: Poly) -> CanonicalChain:
+    """Peel outer monic quadratics off F down to a linear polynomial."""
+    return _canonical_chain(F.field, *_decompose_raw(F))
+
+
+def _first_square(field: FiniteField, bs: list) -> Optional[int]:
+    """The chain criterion's first failing index for the letters x^2 - b,
+    b in the raw bs (outermost first), or None when the chain is irreducible."""
+    zero = field.zero_raw
+    return _raw_chain(field, [(zero, b) for b in bs])[1]
 
 
 @dataclass(frozen=True)
@@ -319,21 +385,20 @@ def test_decomposable(F: Poly) -> DecompositionVerdict:
     """
     field = F.field
     try:
-        chain = full_decompose(F)
+        bs, shift = _decompose_raw(F)
     except NotDecomposable:
         return DecompositionVerdict(NOT_DECOMPOSABLE)
-    report = letter_chain([MonicQuad(field.zero, a) for a in chain.bs])
-    return DecompositionVerdict(report.status, report.witness, chain)
+    first_failure = _first_square(field, bs)
+    status = IRREDUCIBLE if first_failure is None else REDUCIBLE
+    return DecompositionVerdict(status, first_failure, _canonical_chain(field, bs, shift))
 
 
 def canonicalize(F: Poly) -> Tuple[FieldElement, Tuple[int, ...]]:
     """The unique (shift, word over the maximal alphabet) with
     F = pi(word)(x - shift); F must be an irreducible composition."""
     field = F.field
-    chain = full_decompose(F)
-    report = letter_chain([MonicQuad(field.zero, a) for a in chain.bs])
-    if not report.irreducible:
-        raise NotIrreducible(
-            "chain value %d is a square" % report.first_failure
-        )
-    return chain.shift, chain.word()
+    bs, shift = _decompose_raw(F)
+    first_failure = _first_square(field, bs)
+    if first_failure is not None:
+        raise NotIrreducible("chain value %d is a square" % first_failure)
+    return FieldElement(field, shift), tuple(field.index_of_raw(b) for b in bs)

@@ -459,11 +459,14 @@ def test_minimize_matches_moore_reference_on_random_partial_dfas():
 
 
 def test_count_accepted_switches_from_int64_to_python_ints():
+    # each side of the meet in the middle counts up to 2**62 in int64, so a
+    # 2-letter loop first needs Python ints at n = 62 + 62 + 1
     loop = PartialDfa(F5, example_alphabet(), 1, {(0, 0): 0, (0, 1): 0})
-    for n in (62, 63, 64):
-        got = count_accepted(loop, n)
+    for n in (62, 63, 64, 124, 125, 130):
+        got, boxed = object_arrays_seen(count_accepted, loop, n)
         assert got == 2**n
         assert type(got) is int
+        assert boxed == (n >= 125), n
 
 
 def test_table_pipeline_never_builds_the_transition_dict():

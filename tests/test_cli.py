@@ -230,6 +230,33 @@ def test_decompose_output(capsys):
     assert rc == 2  # degree is not a power of 2
 
 
+# (q, poly) -> decompose and canonicalize (stdout lines, exit code); over
+# F_9 and F_25 an irreducible, a reducible (chain value 3 is a square) and an
+# indecomposable degree-8 polynomial, each shifted by x -> x + [1,2].  The
+# README example is checked by the two tests above.
+DECOMPOSE_GOLDEN = [
+    ("9", "[0,2],[1,1],[0,2],[1,2],[2,0],[2,2],[0,1],[2,1],[1,0]",
+     (["chain: [1,1], [0,0], [0,0]", "shift: [2,1]"], 0), (["shift: [2,1]", "word: jff"], 0)),
+    ("9", "[2,2],[2,1],[1,0],[2,2],[2,0],[2,2],[1,0],[2,1],[1,0]",
+     (["chain: [2,1], [0,0], [2,1]", "shift: [2,1]"], 0), (["NotIrreducible"], 1)),
+    ("9", "[0,2],[2,1],[0,2],[1,2],[2,0],[2,2],[0,1],[2,1],[1,0]",
+     (["NotDecomposable"], 3), (["NotDecomposable"], 3)),
+    ("25", "[4,4],[4,3],[4,0],[4,3],[0,0],[2,4],[1,0],[3,1],[1,0]",
+     (["chain: [2,1], [0,0], [0,0]", "shift: [4,3]"], 0), (["shift: [4,3]", "word: L7,L0,L0"], 0)),
+    ("25", "[2,4],[1,0],[3,3],[3,4],[4,4],[0,3],[1,1],[3,1],[1,0]",
+     (["chain: [2,1], [0,0], [0,1]", "shift: [4,3]"], 0), (["NotIrreducible"], 1)),
+    ("25", "[4,4],[0,3],[4,0],[4,3],[0,0],[2,4],[1,0],[3,1],[1,0]",
+     (["NotDecomposable"], 3), (["NotDecomposable"], 3)),
+]
+
+
+@pytest.mark.parametrize("q, poly, decompose, canonical", DECOMPOSE_GOLDEN)
+def test_decompose_and_canonicalize_golden(capsys, q, poly, decompose, canonical):
+    for cmd, (want_out, want_rc) in (("decompose", decompose), ("canonicalize", canonical)):
+        rc, out, _ = run(capsys, cmd, "--q", q, "--poly", poly)
+        assert (out, rc) == (want_out, want_rc), cmd
+
+
 def test_argparse_exit_codes(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

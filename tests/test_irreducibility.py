@@ -9,6 +9,7 @@ from quadcomp import (
     CanonicalChain,
     ChainReport,
     EmptyWord,
+    FieldElement,
     FiniteField,
     FreedomNotCertified,
     InvalidDegree,
@@ -387,3 +388,221 @@ def test_canonicalize_inverts_enumerate():
             got_shift, got_word = canonicalize(F)
             assert got_shift == shift
             assert got_word == word
+
+
+def decompose_reference(F):
+    """The boxed outer peel: top-down matching on raw values, the rest in
+    Poly and FieldElement arithmetic, with 2 inverted by rinv."""
+    deg = F.degree
+    if deg < 2:
+        raise DegreeTooSmall("degree must be at least 2")
+    if deg % 2:
+        raise OddDegree("degree must be even")
+    if not F.is_monic:
+        raise ValueError("polynomial must be monic")
+    field = F.field
+    d = deg // 2
+    inv2 = field.rinv(field.radd(field.one_raw, field.one_raw))
+    fv = list(F.vals)
+    h = [field.zero_raw] * (d + 1)
+    h[d] = field.one_raw
+    for j in range(1, d):
+        s = fv[2 * d - j]
+        for u in range(d - j + 1, d):
+            s = field.rsub(s, field.rmul(h[u], h[2 * d - j - u]))
+        h[d - j] = field.rmul(s, inv2)
+    ht = Poly(field, h, raw=True)
+    rest = F - ht * ht
+    e1 = rest.coeff(d)
+    linear = rest - e1 * ht
+    if linear.degree > 0:
+        raise NotDecomposable("no monic quadratic splits off")
+    e0 = linear.coeff(0)
+    c = e1 * FieldElement(field, inv2)
+    a = c * c - e0
+    return a, ht + c
+
+
+def full_decompose_reference(F):
+    deg = F.degree
+    if deg < 2 or deg & (deg - 1):
+        raise InvalidDegree("degree must be a power of 2, at least 2")
+    if not F.is_monic:
+        raise ValueError("polynomial must be monic")
+    bs = []
+    current = F
+    while current.degree > 1:
+        a, current = decompose_reference(current)
+        bs.append(a)
+    return CanonicalChain(tuple(bs), -current.coeff(0))
+
+
+def verdict_reference(F):
+    """(status, witness, chain) of test_decomposable, from the references."""
+    try:
+        chain = full_decompose_reference(F)
+    except NotDecomposable:
+        return NOT_DECOMPOSABLE, None, None
+    report = chain_reference([MonicQuad(F.field.zero, b) for b in chain.bs])
+    return report.status, report.witness, chain
+
+
+def verdict_fields(F):
+    v = decomposable_verdict(F)
+    return v.status, v.witness, v.chain
+
+
+def canonicalize_reference(F):
+    status, witness, chain = verdict_reference(F)
+    if status == NOT_DECOMPOSABLE:
+        raise NotDecomposable("no monic quadratic splits off")
+    if status == REDUCIBLE:
+        raise NotIrreducible("chain value %d is a square" % witness)
+    return chain.shift, chain.word()
+
+
+def outcome(fn, F):
+    """fn(F), or the type and message of the ValueError it raises."""
+    try:
+        return fn(F)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def peels_until_refused(peel, F):
+    """The outer constants peel strips off F, and the 1-based index of the
+    peel that raised NotDecomposable, or None when F peels down to degree 1."""
+    bs = []
+    while F.degree > 1:
+        try:
+            a, F = peel(F)
+        except NotDecomposable:
+            return bs, len(bs) + 1
+        bs.append(a)
+    return bs, None
+
+
+REFERENCE_FIELDS = (F3, F9, FiniteField(5, 2), FiniteField(3, 3),
+                    FiniteField(65537), FiniteField(1_000_003))
+
+
+def random_elem(field, rng):
+    return field.elem(field.raw_from_index(rng.randrange(field.q)))
+
+
+def seeded_chains(field, rng):
+    """Shifted canonical chains of degree 2..128: per length one random
+    chain, mostly reducible, and one grown to stay irreducible as long as
+    some tried constant allows it."""
+    for t in range(1, 8):
+        yield CanonicalChain(tuple(random_elem(field, rng) for _ in range(t)),
+                             random_elem(field, rng))
+        grown = []
+        while len(grown) < t:
+            for _ in range(60):
+                b = random_elem(field, rng)
+                if chain_reference([MonicQuad(field.zero, c) for c in grown + [b]]).irreducible:
+                    break
+            grown.append(b)
+        yield CanonicalChain(tuple(grown), random_elem(field, rng))
+
+
+def test_decomposition_matches_the_boxed_reference():
+    rng = random.Random(2024)
+    for field in REFERENCE_FIELDS:
+        seen = set()
+        for chain in seeded_chains(field, rng):
+            F = chain.recompose()
+            assert full_decompose(F) == full_decompose_reference(F) == chain
+            assert outcome(decompose_quadratic_outer, F) == decompose_reference(F)
+            got = verdict_fields(F)
+            assert got == verdict_reference(F)
+            assert outcome(canonicalize, F) == outcome(canonicalize_reference, F)
+            seen.add(got[0])
+        assert seen == {IRREDUCIBLE, REDUCIBLE}, field
+
+
+def test_perturbed_compositions_are_refused_at_the_reference_peel():
+    # (x^2 - b_1) o ... o (x^2 - b_i) o (G + c x^j) with G a composition of
+    # degree 2e >= 4 and 0 < j < e: the first i peels succeed and peel i + 1
+    # leaves c x^j; a perturbation anywhere else is compared as it falls
+    rng = random.Random(77)
+    for field in REFERENCE_FIELDS:
+        refused_late = 0
+        for chain in seeded_chains(field, rng):
+            t = len(chain.bs)
+            if t < 2:
+                continue
+            i = rng.randrange(t - 1)
+            inner = CanonicalChain(chain.bs[i:], chain.shift).recompose()
+            j = rng.randrange(1, inner.degree // 2)
+            c = random_elem(field, rng)
+            while c.is_zero():
+                c = random_elem(field, rng)
+            bump = Poly(field, [0] * j + [c])
+            outer = CanonicalChain(chain.bs[:i], field.zero).recompose()
+            cases = [(outer.compose(inner + bump), i + 1)]
+            F = chain.recompose()
+            cases.append((F + Poly(field, [0] * rng.randrange(F.degree) + [c]), "any"))
+            for G, at in cases:
+                want = peels_until_refused(decompose_reference, G)
+                assert peels_until_refused(decompose_quadratic_outer, G) == want
+                if at != "any":
+                    assert want[1] == at
+                    refused_late += at > 1
+                assert outcome(full_decompose, G) == outcome(full_decompose_reference, G)
+                assert outcome(canonicalize, G) == outcome(canonicalize_reference, G)
+                assert verdict_fields(G) == verdict_reference(G)
+        assert refused_late, field
+
+
+def test_decomposition_refusals_match_the_reference():
+    for field in REFERENCE_FIELDS:
+        two = field.elem(2)
+        inputs = [
+            Poly(field, [1]),                          # degree 0
+            Poly(field, [3, 1]),                       # degree 1
+            Poly(field, [1, 0, 0, 1]),                 # odd
+            Poly(field, [1, 2, 0, 1, 0, 1]),           # odd
+            Poly(field, [1, 0, 2, 0, 1, 0, 1]),        # degree 6
+            Poly(field, [2, 0, 1, 0, two]),            # not monic
+            Poly(field, [2, 1, two]),                  # not monic
+            Poly(field, [0, 1, 0, two]),               # odd and not monic
+        ]
+        pairs = [(decompose_quadratic_outer, decompose_reference),
+                 (full_decompose, full_decompose_reference),
+                 (canonicalize, canonicalize_reference),
+                 (verdict_fields, verdict_reference)]
+        kinds = set()
+        for F in inputs:
+            for fn, ref in pairs:
+                got = outcome(fn, F)
+                assert got == outcome(ref, F), (fn.__name__, F)
+                kinds.add(got[0])
+        assert {DegreeTooSmall, OddDegree, InvalidDegree, ValueError} <= kinds, field
+
+
+def test_canonicalize_builds_no_poly_and_one_field_element(monkeypatch):
+    mx = Alphabet.maximal(F9)
+    word = (4, 8, 6, 4, 4, 0)
+    F = pi(word, mx).shift_argument(F9.elem(1))
+    assert F.degree == 64
+    polys, elements = [], []
+    poly_init, element_init = Poly.__init__, FieldElement.__init__
+
+    def spy_poly(self, *args, **kwargs):
+        polys.append(args)
+        poly_init(self, *args, **kwargs)
+
+    def spy_element(self, *args):
+        elements.append(args)
+        element_init(self, *args)
+
+    monkeypatch.setattr(Poly, "__init__", spy_poly)
+    monkeypatch.setattr(FieldElement, "__init__", spy_element)
+    shift, got = canonicalize(F)
+    monkeypatch.undo()
+    assert polys == []
+    assert len(elements) == 1  # the returned shift
+    assert got == word
+    assert F.shift_argument(shift) == pi(word, mx)
