@@ -52,7 +52,12 @@ class NState:
 
 
 class InterimAutomaton:
-    """Complete DFA over the alphabet; all transitions defined."""
+    """Complete DFA over the alphabet; all transitions defined.
+
+    delta[j][s] is the successor of state s under letter j: one row per
+    letter, each with one target in [0, n_states) per state, and one
+    accepting flag per state; anything else raises IndexOutOfRange.
+    """
 
     def __init__(self, field, alphabet, states, accepting, delta, merged=False):
         self.field = field
@@ -61,6 +66,12 @@ class InterimAutomaton:
         self.accepting = tuple(accepting)
         self.delta = tuple(tuple(row) for row in delta)
         self.merged = merged
+        n = len(self.states)
+        if len(self.accepting) != n or len(self.delta) != len(alphabet):
+            raise IndexOutOfRange("need %d accepting flags and %d rows" % (n, len(alphabet)))
+        for j, row in enumerate(self.delta):
+            if len(row) != n or not all(0 <= t < n for t in row):
+                raise IndexOutOfRange("letter %d needs %d targets in [0, %d)" % (j, n, n))
         self._pre_memo = {}
 
     @property
@@ -206,48 +217,38 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
 
     Each BFS layer is one numpy pass: the layer's subsets are rows of an
     (F, n) bool array, and frontier[:, delta] takes the preimages under
-    every letter at once.  Rows are packed into byte keys of any width and
-    deduplicated with np.unique; new subsets get ids in order of first
-    appearance, the order a queue-driven walk discovers them in.  Each
-    layer writes its own rows of M's transition table.
+    every letter at once.  Rows are packed into hashable byte keys, and one
+    dict numbers the subsets in order of first appearance, the order a
+    queue-driven walk discovers them in.  Each chunk writes its own block
+    of M's transition table.
     """
     n = n_aut.n_states
     n_letters = len(n_aut.alphabet)
     delta = np.asarray(n_aut.delta, dtype=np.intp)  # (L, n)
     chunk = max(1, _GATHER_BYTES // (n_letters * n))
     frontier = np.asarray(n_aut.accepting, dtype=bool)[None, :]
-    seen = _pack(frontier)  # keys of every subset so far, in id order
-    rows = []  # one block of table rows per layer
+    ids = {_pack(frontier).item(): 0}
+    blocks = []  # M's table, flattened, one block per chunk
     while len(frontier):
         fresh = []
-        layer_table = np.full(len(frontier) * n_letters, -1, dtype=np.int32)
         for lo in range(0, len(frontier), chunk):
             pre = frontier[lo : lo + chunk][:, delta].reshape(-1, n)
-            flat = np.flatnonzero(pre[:, 0])
-            if not len(flat):
-                continue
-            pre = pre[flat]
-            keys = _pack(pre)
-            n_seen = len(seen)
-            _, first, inv = np.unique(
-                np.concatenate([seen, keys]), return_index=True, return_inverse=True
-            )
-            # a key first met inside `seen` sits at its own id; the others
-            # are numbered in order of first appearance among the candidates
-            new = np.flatnonzero(first >= n_seen)
-            new = new[np.argsort(first[new])]
-            born = first[new] - n_seen
-            first[new] = n_seen + np.arange(len(new))
-            layer_table[lo * n_letters + flat] = first[inv[n_seen:]]
-            fresh.append(pre[born])
-            seen = np.concatenate([seen, keys[born]])
-        rows.append(layer_table.reshape(-1, n_letters))
-        frontier = np.concatenate(fresh) if fresh else frontier[:0]
-    return PartialDfa(n_aut.field, n_aut.alphabet, len(seen), np.concatenate(rows))
+            keep = pre[:, 0]  # the preimage holds N's initial state
+            pre = pre[keep]
+            n_before = len(ids)
+            block = np.full(len(keep), -1, dtype=np.int32)
+            block[keep] = [ids.setdefault(key, len(ids)) for key in _pack(pre).tolist()]
+            blocks.append(block)
+            # ids from n_before on are new; they ascend in order of first appearance
+            got_ids, first = np.unique(block[keep], return_index=True)
+            fresh.append(pre[first[got_ids >= n_before]])
+        frontier = np.concatenate(fresh)
+    table = np.concatenate(blocks).reshape(-1, n_letters)
+    return PartialDfa(n_aut.field, n_aut.alphabet, len(ids), table)
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
-    """One fixed-width byte key per bool row, comparable by np.unique."""
+    """One fixed-width byte key per bool row; `tolist()` gives hashable bytes."""
     packed = np.packbits(rows, axis=1, bitorder="little")
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
@@ -527,9 +528,15 @@ def automaton_from_json(text: str):
             states.append(NState(st["kind"], value))
             accepting.append(bool(st["accepting"]))
         n = len(states)
-        delta = [[0] * n for _ in alphabet.letters]
-        for t in doc["transitions"]:
-            delta[t["letter"]][t["from"]] = t["to"]
+        trans = {(t["from"], t["letter"]): t["to"] for t in doc["transitions"]}
+        pairs = {(s, j) for s in range(n) for j in range(len(alphabet))}
+        extra = trans.keys() - pairs
+        if extra:
+            raise IndexOutOfRange("(state, letter) %r out of range" % (extra.pop(),))
+        missing = pairs - trans.keys()
+        if missing:
+            raise IndexOutOfRange("no transition for (state, letter) %r" % (min(missing),))
+        delta = [[trans[s, j] for s in range(n)] for j in range(len(alphabet))]
         return InterimAutomaton(
             field, alphabet, states, accepting, delta, merged=doc.get("merged", False)
         )

@@ -134,24 +134,35 @@ def _letter_pairs(field: FiniteField, letters: Sequence[MonicQuad]) -> Iterator[
         yield quad.a.val, quad.b.val
 
 
-def letter_chain(letters: Sequence[MonicQuad]) -> ChainReport:
-    """Chain report for an explicit letter sequence (outermost first)."""
-    if not letters:
-        raise EmptyWord("the chain criterion needs at least one letter")
-    field = letters[0].field
-    values, first_failure = _raw_chain(field, _letter_pairs(field, letters))
+def _chain_report(field: FiniteField, pairs: Iterable[tuple]) -> ChainReport:
+    """Chain report of letters given as raw (a, b) pairs, outermost first."""
+    values, first_failure = _raw_chain(field, pairs)
     verdicts = (True,) * (len(values) - 1) + (first_failure is None,)
     return ChainReport(
         tuple([FieldElement(field, v) for v in values]), verdicts, first_failure
     )
 
 
+def letter_chain(letters: Sequence[MonicQuad]) -> ChainReport:
+    """Chain report for an explicit letter sequence (outermost first)."""
+    if not letters:
+        raise EmptyWord("the chain criterion needs at least one letter")
+    field = letters[0].field
+    return _chain_report(field, _letter_pairs(field, letters))
+
+
 def chain_irreducible(word: Sequence[int], alphabet: Alphabet) -> ChainReport:
-    """Chain criterion for a word over an alphabet (outermost letter first)."""
+    """Chain criterion for a word over an alphabet (outermost letter first).
+
+    Letters are read from the alphabet one at a time as raw (a, b) pairs,
+    so a word that fails early reads no further letters.
+    """
     word = alphabet.check_word(word)
     if not word:
         raise EmptyWord("the chain criterion needs a nonempty word")
-    return letter_chain([alphabet[j] for j in word])
+    letters = alphabet.letters
+    pairs = ((letters[j].a.val, letters[j].b.val) for j in word)
+    return _chain_report(alphabet.field, pairs)
 
 
 def extend_frontier(n_aut: InterimAutomaton, frontier: Frontier) -> Frontier:

@@ -13,6 +13,7 @@ from quadcomp import (
     FiniteField,
     MonicQuad,
     IndexOutOfRange,
+    InterimAutomaton,
     NState,
     PartialDfa,
     UnsupportedFormat,
@@ -350,6 +351,17 @@ def test_layer_walk_matches_queue_walk_past_64_bit_masks():
     assert largest > 1000
 
 
+def test_layer_walk_matches_queue_walk_across_chunks(monkeypatch):
+    # a chunk of 1 byte holds one subset; at 200 and 5000 bytes a BFS layer
+    # spans several chunks that each meet new subsets
+    auts = [build_interim(Alphabet.maximal(field)) for field in (F7, F9, F25)]
+    auts.append(merge_dist_reg(build_interim(example_alphabet())))
+    for gather_bytes in (1, 200, 5000):
+        monkeypatch.setattr(automaton, "_GATHER_BYTES", gather_bytes)
+        for n_aut in auts:
+            assert_same_walk(n_aut)
+
+
 def test_layer_walk_leaves_the_preimage_memo_empty():
     n_aut = build_interim(Alphabet.maximal(F7))
     reverse_subset_prune(n_aut)
@@ -518,10 +530,38 @@ def test_partial_dfa_checks_its_transitions():
 
 
 def test_json_with_an_out_of_range_target_is_refused():
-    blob = json.loads(to_json(reverse_subset_prune(build_interim(example_alphabet()))))
+    n_aut = build_interim(example_alphabet())
+    blob = json.loads(to_json(reverse_subset_prune(n_aut)))
     blob["transitions"][0]["to"] = len(blob["states"])
     with pytest.raises(IndexOutOfRange):
         automaton_from_json(json.dumps(blob))
+    n_states = n_aut.n_states
+    for field, value in (("to", 99), ("to", n_states), ("to", -1), ("letter", -1),
+                         ("letter", 2), ("from", -1), ("from", n_states)):
+        blob = json.loads(to_json(n_aut))
+        blob["transitions"][5][field] = value
+        with pytest.raises(IndexOutOfRange):
+            automaton_from_json(json.dumps(blob))
+    blob = json.loads(to_json(n_aut))
+    del blob["transitions"][5]
+    with pytest.raises(IndexOutOfRange):
+        automaton_from_json(json.dumps(blob))
+
+
+def test_interim_automaton_checks_its_transitions():
+    n_aut = build_interim(example_alphabet())
+    n = n_aut.n_states
+    args = (n_aut.field, n_aut.alphabet, n_aut.states)
+    delta = [list(row) for row in n_aut.delta]
+    for bad in (delta[:1], delta + delta[:1], [delta[0], delta[1][:-1]],
+                [delta[0], delta[1] + [0]], [delta[0], delta[1][:-1] + [n]],
+                [delta[0], [-1] + delta[1][1:]]):
+        with pytest.raises(IndexOutOfRange):
+            InterimAutomaton(*args, n_aut.accepting, bad)
+    for accepting in (n_aut.accepting[:-1], n_aut.accepting + (True,)):
+        with pytest.raises(IndexOutOfRange):
+            InterimAutomaton(*args, accepting, delta)
+    assert InterimAutomaton(*args, n_aut.accepting, delta) == n_aut
 
 
 def test_both_oracles_refuse_an_out_of_range_letter():

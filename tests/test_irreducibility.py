@@ -155,6 +155,9 @@ def test_letter_chain_matches_the_field_element_fold():
             for letters in words + [grown]:
                 want = chain_reference(letters)
                 assert letter_chain(letters) == want, (field, letters)
+                alph = Alphabet(field, list(dict.fromkeys(letters)))
+                word = tuple(map(alph.letters.index, letters))
+                assert chain_irreducible(word, alph) == want, (field, word)
                 assert [chain_value(letters[:i], letters[i])
                         for i in range(len(want.values))] == list(want.values)
                 full += want.irreducible and length == 20
