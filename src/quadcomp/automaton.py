@@ -57,7 +57,14 @@ class InterimAutomaton:
     delta[j][s] is the successor of state s under letter j: one row per
     letter, each with one target in [0, n_states) per state, and one
     accepting flag per state; anything else raises IndexOutOfRange.
+    State 0, the initial state, is the start.
+
+    A set of states is a bool row over the states.  Its preimage under
+    letter j, the states whose j-successor lies in the set, is
+    row[rows[j]]; every walk over N's subsets steps this way.
     """
+
+    start = 0
 
     def __init__(self, field, alphabet, states, accepting, delta, merged=False):
         self.field = field
@@ -72,39 +79,38 @@ class InterimAutomaton:
         for j, row in enumerate(self.delta):
             if len(row) != n or not all(0 <= t < n for t in row):
                 raise IndexOutOfRange("letter %d needs %d targets in [0, %d)" % (j, n, n))
-        self._pre_memo = {}
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
     @cached_property
-    def accepting_mask(self) -> int:
-        return sum(1 << t for t, acc in enumerate(self.accepting) if acc)
+    def rows(self) -> np.ndarray:
+        """delta as a read-only (letters, n_states) intp array."""
+        rows = np.array(self.delta, dtype=np.intp).reshape(len(self.delta), self.n_states)
+        rows.setflags(write=False)
+        return rows
 
-    def preimage_mask(self, mask: int, letter: int) -> int:
-        """Bitmask of states whose `letter` successor lies in `mask`."""
-        key = (mask, letter)
-        hit = self._pre_memo.get(key)
-        if hit is None:
-            row = self.delta[letter]
-            hit = 0
-            for t in range(len(row)):
-                if (mask >> row[t]) & 1:
-                    hit |= 1 << t
-            self._pre_memo[key] = hit
-        return hit
+    @cached_property
+    def accepting_mask(self) -> np.ndarray:
+        """The accepting states as a read-only bool row."""
+        mask = np.array(self.accepting, dtype=bool)
+        mask.setflags(write=False)
+        return mask
+
+    def labels(self) -> list:
+        return [st.label() for st in self.states]
+
+    def edges(self):
+        """(state, letter, target) of every transition, in (state, letter) order."""
+        n_letters = len(self.delta)
+        return ((s, j, self.delta[j][s]) for s in range(self.n_states) for j in range(n_letters))
 
     def __eq__(self, other):
         if not isinstance(other, InterimAutomaton):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.alphabet == other.alphabet
-            and self.states == other.states
-            and self.accepting == other.accepting
-            and self.delta == other.delta
-        )
+        key = operator.attrgetter("field", "alphabet", "states", "accepting", "delta")
+        return key(self) == key(other)
 
 
 class PartialDfa:
@@ -128,15 +134,18 @@ class PartialDfa:
                 raise IndexOutOfRange("table entry outside [-1, %d)" % n_states)
             table = trans.astype(np.int32, copy=False)
         else:
-            table = np.full(shape, -1, dtype=np.int32)
-            for (s, j), t in dict(trans).items():
-                if not (0 <= s < n_states and 0 <= j < shape[1] and 0 <= t < n_states):
-                    raise IndexOutOfRange("transition (%r, %r) -> %r out of range" % (s, j, t))
-                table[s, j] = t
+            table = _table_from_edges(((s, j, t) for (s, j), t in dict(trans).items()), shape)
         if not 0 <= start < n_states:
             raise IndexOutOfRange("start state %r out of range" % (start,))
         self.table = table
         self.start = start
+
+    @property
+    def accepting(self) -> tuple:
+        return (True,) * self.n_states
+
+    def labels(self) -> list:
+        return [str(s) for s in range(self.n_states)]
 
     def edges(self):
         """(state, letter, target) of every transition, in (state, letter) order."""
@@ -152,13 +161,22 @@ class PartialDfa:
     def __eq__(self, other):
         if not isinstance(other, PartialDfa):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.alphabet == other.alphabet
-            and self.n_states == other.n_states
-            and self.start == other.start
-            and np.array_equal(self.table, other.table)
-        )
+        key = operator.attrgetter("field", "alphabet", "n_states", "start")
+        return key(self) == key(other) and np.array_equal(self.table, other.table)
+
+
+def _table_from_edges(edges, shape) -> np.ndarray:
+    """(n_states, letters) int32 table of (state, letter, target) triples, -1
+    where none is given; refuses a triple out of range or a repeated pair."""
+    n_states, n_letters = shape
+    table = np.full(shape, -1, dtype=np.int32)
+    for s, j, t in edges:
+        if not (0 <= s < n_states and 0 <= j < n_letters and 0 <= t < n_states):
+            raise IndexOutOfRange("transition (%r, %r) -> %r out of range" % (s, j, t))
+        if table[s, j] >= 0:
+            raise IndexOutOfRange("transition (%r, %r) listed twice" % (s, j))
+        table[s, j] = t
+    return table
 
 
 def build_interim(alphabet: Alphabet) -> InterimAutomaton:
@@ -216,7 +234,7 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     state, and only accepting subsets are kept.
 
     Each BFS layer is one numpy pass: the layer's subsets are rows of an
-    (F, n) bool array, and frontier[:, delta] takes the preimages under
+    (F, n) bool array, and frontier[:, rows] takes the preimages under
     every letter at once.  Rows are packed into hashable byte keys, and one
     dict numbers the subsets in order of first appearance, the order a
     queue-driven walk discovers them in.  Each chunk writes its own block
@@ -224,15 +242,14 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     """
     n = n_aut.n_states
     n_letters = len(n_aut.alphabet)
-    delta = np.asarray(n_aut.delta, dtype=np.intp)  # (L, n)
     chunk = max(1, _GATHER_BYTES // (n_letters * n))
-    frontier = np.asarray(n_aut.accepting, dtype=bool)[None, :]
+    frontier = n_aut.accepting_mask[None, :]
     ids = {_pack(frontier).item(): 0}
     blocks = []  # M's table, flattened, one block per chunk
     while len(frontier):
         fresh = []
         for lo in range(0, len(frontier), chunk):
-            pre = frontier[lo : lo + chunk][:, delta].reshape(-1, n)
+            pre = frontier[lo : lo + chunk][:, n_aut.rows].reshape(-1, n)
             keep = pre[:, 0]  # the preimage holds N's initial state
             pre = pre[keep]
             n_before = len(ids)
@@ -268,13 +285,14 @@ def lazy_first_failure(n_aut: InterimAutomaton, word: Sequence[int]) -> Optional
     """Backward subset simulation on N.
 
     Returns the 1-based position of the first rejecting step, or None if
-    the word is accepted.  Cost is O(q) per letter.
+    the word is accepted.  One gather a letter, O(q), and nothing is kept.
     """
     word = n_aut.alphabet.check_word(word)
+    rows = n_aut.rows
     mask = n_aut.accepting_mask
     for pos, j in enumerate(word, 1):
-        mask = n_aut.preimage_mask(mask, j)
-        if not mask & 1:
+        mask = mask[rows[j]]
+        if not mask[0]:
             return pos
     return None
 
@@ -418,129 +436,89 @@ def isomorphic(m1: PartialDfa, m2: PartialDfa) -> bool:
 # -- serialization -----------------------------------------------------------
 
 
-def _interim_reachable(n_aut: InterimAutomaton) -> list:
-    number = _bfs_number(np.asarray(n_aut.delta).T, 0)
-    return np.flatnonzero(number >= 0).tolist()
-
-
-def _dot_name(s) -> str:
-    return '"%s"' % str(s).replace('"', '\\"')
+def _reachable(aut) -> list:
+    """Ids of the states reachable from the start, ascending."""
+    succ = aut.rows.T if isinstance(aut, InterimAutomaton) else aut.table
+    return np.flatnonzero(_bfs_number(succ, aut.start) >= 0).tolist()
 
 
 def to_dot(aut, trim: bool = False) -> str:
-    """Graphviz rendering; accepting states get double circles."""
-    lines = ["digraph {", "  rankdir=LR;", '  __start [shape=point, label=""];']
-    if isinstance(aut, InterimAutomaton):
-        keep = set(_interim_reachable(aut)) if trim else set(range(aut.n_states))
-        for t in sorted(keep):
-            shape = "doublecircle" if aut.accepting[t] else "circle"
-            lines.append("  %s [shape=%s];" % (_dot_name(aut.states[t].label()), shape))
-        lines.append("  __start -> %s;" % _dot_name(aut.states[0].label()))
-        for j, quad in enumerate(aut.alphabet):
-            name = aut.alphabet.letter_name(j)
-            for s in sorted(keep):
-                t = aut.delta[j][s]
-                if t in keep:
-                    lines.append(
-                        "  %s -> %s [label=\"%s\"];"
-                        % (
-                            _dot_name(aut.states[s].label()),
-                            _dot_name(aut.states[t].label()),
-                            name,
-                        )
-                    )
-    elif isinstance(aut, PartialDfa):
-        for s in range(aut.n_states):
-            lines.append("  %s [shape=doublecircle];" % _dot_name(s))
-        lines.append("  __start -> %s;" % _dot_name(aut.start))
-        for s, j, t in aut.edges():
-            lines.append(
-                "  %s -> %s [label=\"%s\"];"
-                % (_dot_name(s), _dot_name(t), aut.alphabet.letter_name(j))
-            )
-    else:
+    """Graphviz rendering; accepting states get double circles, edges come in
+    (state, letter) order, and trim drops the states the start cannot reach."""
+    if not isinstance(aut, (InterimAutomaton, PartialDfa)):
         raise UnsupportedFormat("cannot render %r" % type(aut).__name__)
+    names = ['"%s"' % label.replace('"', '\\"') for label in aut.labels()]
+    letters = [aut.alphabet.letter_name(j) for j in range(len(aut.alphabet))]
+    accepting = aut.accepting
+    keep = set(_reachable(aut)) if trim else range(aut.n_states)
+    lines = ["digraph {", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    lines += ["  %s [shape=%s];" % (names[t], "doublecircle" if accepting[t] else "circle")
+              for t in range(aut.n_states) if t in keep]
+    lines.append("  __start -> %s;" % names[aut.start])
+    lines += ['  %s -> %s [label="%s"];' % (names[s], names[t], letters[j])
+              for s, j, t in aut.edges() if s in keep]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _alphabet_json(alphabet: Alphabet) -> list:
-    return [{"a": str(quad.a), "b": str(quad.b)} for quad in alphabet]
+def _json_doc(aut) -> dict:
+    """The document to_json writes, as a dict."""
+    if not isinstance(aut, (InterimAutomaton, PartialDfa)):
+        raise UnsupportedFormat("cannot serialize %r" % type(aut).__name__)
+    states = [{"id": t, "accepting": acc} for t, acc in enumerate(aut.accepting)]
+    doc = {
+        "field": {"p": aut.field.p, "k": aut.field.k},
+        "alphabet": [{"a": str(quad.a), "b": str(quad.b)} for quad in aut.alphabet],
+        "type": "partial",
+        "start": aut.start,
+        "states": states,
+        "transitions": [{"from": s, "letter": j, "to": t} for s, j, t in aut.edges()],
+    }
+    if isinstance(aut, InterimAutomaton):
+        doc.update(type="interim", merged=aut.merged)
+        for entry, st in zip(states, aut.states):
+            entry.update(kind=st.kind, value=None if st.value is None else str(st.value))
+    return doc
 
 
 def to_json(aut) -> str:
-    field = aut.field
-    doc = {
-        "field": {"p": field.p, "k": field.k},
-        "alphabet": _alphabet_json(aut.alphabet),
-    }
-    if isinstance(aut, InterimAutomaton):
-        doc["type"] = "interim"
-        doc["merged"] = aut.merged
-        doc["start"] = 0
-        doc["states"] = [
-            {
-                "id": t,
-                "accepting": aut.accepting[t],
-                "kind": st.kind,
-                "value": None if st.value is None else str(st.value),
-            }
-            for t, st in enumerate(aut.states)
-        ]
-        doc["transitions"] = [
-            {"from": s, "letter": j, "to": aut.delta[j][s]}
-            for s in range(aut.n_states)
-            for j in range(len(aut.alphabet))
-        ]
-    elif isinstance(aut, PartialDfa):
-        doc["type"] = "partial"
-        doc["start"] = aut.start
-        doc["states"] = [{"id": t, "accepting": True} for t in range(aut.n_states)]
-        doc["transitions"] = [
-            {"from": s, "letter": j, "to": t} for s, j, t in aut.edges()
-        ]
-    else:
-        raise UnsupportedFormat("cannot serialize %r" % type(aut).__name__)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _alphabet_from_json(field: FiniteField, items) -> Alphabet:
-    letters = [
-        MonicQuad(field.parse_element(it["a"]), field.parse_element(it["b"]))
-        for it in items
-    ]
-    return Alphabet(field, letters)
+    return json.dumps(_json_doc(aut), indent=2, sort_keys=True) + "\n"
 
 
 def automaton_from_json(text: str):
-    """Inverse of to_json for both automaton kinds."""
+    """Inverse of to_json for both automaton kinds.
+
+    State ids must be exactly 0..n-1 and each (state, letter) pair may be
+    listed once; an interim machine needs every pair, and every state of a
+    partial one must accept.
+    """
     doc = json.loads(text)
+    kind = doc.get("type")
+    if kind not in ("interim", "partial"):
+        raise UnsupportedFormat("unknown automaton type %r" % (kind,))
     field = FiniteField(doc["field"]["p"], doc["field"]["k"])
-    alphabet = _alphabet_from_json(field, doc["alphabet"])
-    if doc["type"] == "partial":
-        trans = {(t["from"], t["letter"]): t["to"] for t in doc["transitions"]}
-        return PartialDfa(field, alphabet, len(doc["states"]), trans, start=doc["start"])
-    if doc["type"] == "interim":
-        states = []
-        accepting = []
-        for st in sorted(doc["states"], key=lambda s: s["id"]):
-            value = None if st["value"] is None else field.parse_element(st["value"])
-            states.append(NState(st["kind"], value))
-            accepting.append(bool(st["accepting"]))
-        n = len(states)
-        trans = {(t["from"], t["letter"]): t["to"] for t in doc["transitions"]}
-        pairs = {(s, j) for s in range(n) for j in range(len(alphabet))}
-        extra = trans.keys() - pairs
-        if extra:
-            raise IndexOutOfRange("(state, letter) %r out of range" % (extra.pop(),))
-        missing = pairs - trans.keys()
-        if missing:
-            raise IndexOutOfRange("no transition for (state, letter) %r" % (min(missing),))
-        delta = [[trans[s, j] for s in range(n)] for j in range(len(alphabet))]
-        return InterimAutomaton(
-            field, alphabet, states, accepting, delta, merged=doc.get("merged", False)
-        )
-    raise UnsupportedFormat("unknown automaton type %r" % doc.get("type"))
+    parse = field.parse_element
+    quads = [MonicQuad(parse(it["a"]), parse(it["b"])) for it in doc["alphabet"]]
+    alphabet = Alphabet(field, quads)
+    states = sorted(doc["states"], key=lambda st: st["id"])
+    n = len(states)
+    if [st["id"] for st in states] != list(range(n)):
+        raise IndexOutOfRange("state ids must be exactly 0..%d" % (n - 1))
+    edges = ((t["from"], t["letter"], t["to"]) for t in doc["transitions"])
+    table = _table_from_edges(edges, (n, len(alphabet)))
+    if kind == "partial":
+        if not all(st["accepting"] for st in states):
+            raise ValueError("every state of a partial DFA accepts")
+        return PartialDfa(field, alphabet, n, table, start=doc["start"])
+    if (table < 0).any():
+        missing = tuple(np.argwhere(table < 0)[0].tolist())
+        raise IndexOutOfRange("no transition for (state, letter) %r" % (missing,))
+    nstates = [NState(st["kind"], None if st["value"] is None else parse(st["value"]))
+               for st in states]
+    accepting = [bool(st["accepting"]) for st in states]
+    return InterimAutomaton(
+        field, alphabet, nstates, accepting, table.T.tolist(), merged=doc.get("merged", False)
+    )
 
 
 def export(aut, fmt: str, trim: bool = False) -> str:

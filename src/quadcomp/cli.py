@@ -18,13 +18,13 @@ from typing import List, Optional
 
 from .automaton import (
     InterimAutomaton,
+    _json_doc,
     build_interim,
     count_accepted,
     export,
     merge_dist_reg,
     minimize,
     reverse_subset_prune,
-    to_json,
 )
 from .errors import BudgetExceeded, NotDecomposable, NotIrreducible
 from .finite_field import FiniteField, is_prime
@@ -84,11 +84,11 @@ def _iroot(n: int, k: int) -> int:
 
 def _field_from_args(args) -> FiniteField:
     if args.q is not None:
-        if args.p is not None:
+        if args.p is not None or args.k is not None:
             raise CliError("give --q or --p (with --k), not both")
         p, k = _prime_power(args.q)
     elif args.p is not None:
-        p, k = args.p, args.k
+        p, k = args.p, 1 if args.k is None else args.k
         if p % 2 == 0:
             raise CliError("characteristic 2 unsupported")
     else:
@@ -139,26 +139,21 @@ def _format_word(alphabet: Alphabet, word, innermost_first: bool) -> str:
 
 def _text_automaton(name: str, aut) -> List[str]:
     field = aut.field
-    names = [aut.alphabet.letter_name(i) for i in range(len(aut.alphabet))]
-    lines = []
+    labels = aut.labels()
+    letters = [aut.alphabet.letter_name(j) for j in range(len(aut.alphabet))]
     if isinstance(aut, InterimAutomaton):
         kind = "merged interim" if aut.merged else "interim"
-        lines.append(
-            "%s: %s automaton over F_%d, %d states" % (name, kind, field.q, len(aut.states))
-        )
-        labels = [s.label() for s in aut.states]
-        acc = " ".join(labels[t] for t, ok in enumerate(aut.accepting) if ok)
-        lines.append("accepting: %s" % acc)
-        for s in range(len(aut.states)):
-            for l in range(len(names)):
-                lines.append("%s --%s--> %s" % (labels[s], names[l], labels[aut.delta[l][s]]))
+        acc = " ".join(label for label, ok in zip(labels, aut.accepting) if ok)
+        lines = [
+            "%s: %s automaton over F_%d, %d states" % (name, kind, field.q, aut.n_states),
+            "accepting: %s" % acc,
+        ]
     else:
-        lines.append(
+        lines = [
             "%s: partial DFA over F_%d, %d states, start %d, all states accepting"
             % (name, field.q, aut.n_states, aut.start)
-        )
-        for s, l, t in aut.edges():
-            lines.append("%d --%s--> %d" % (s, names[l], t))
+        ]
+    lines += ["%s --%s--> %s" % (labels[s], letters[j], labels[t]) for s, j, t in aut.edges()]
     return lines
 
 
@@ -181,7 +176,7 @@ def cmd_build(args) -> int:
         if len(pieces) == 1:
             print(export(pieces[0][1], "json"))
         else:
-            bundle = {name: json.loads(to_json(aut)) for name, aut in pieces}
+            bundle = {name: _json_doc(aut) for name, aut in pieces}
             print(json.dumps(bundle, indent=2, sort_keys=True))
     elif args.format == "dot":
         for _, aut in pieces:
@@ -359,7 +354,7 @@ def cmd_decompose(args) -> int:
 def _add_field_args(sub) -> None:
     sub.add_argument("--q", type=int, default=None, help="field size, an odd prime power")
     sub.add_argument("--p", type=int, default=None, help="field characteristic")
-    sub.add_argument("--k", type=int, default=1, help="extension degree (with --p)")
+    sub.add_argument("--k", type=int, default=None, help="extension degree (with --p, default 1)")
 
 
 def _add_alphabet_arg(sub) -> None:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .automaton import InterimAutomaton, build_interim
 from .errors import (
     DegreeTooSmall,
@@ -40,7 +42,9 @@ IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
 NOT_DECOMPOSABLE = "not-decomposable"
 
-Frontier = List[Tuple[Tuple[int, ...], int]]
+# (word, resume state): the resume state is the bool row over N's states
+# that lazy_first_failure holds after reading the word
+Frontier = List[Tuple[Tuple[int, ...], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -166,24 +170,24 @@ def chain_irreducible(word: Sequence[int], alphabet: Alphabet) -> ChainReport:
 
 
 def extend_frontier(n_aut: InterimAutomaton, frontier: Frontier) -> Frontier:
-    """Append every viable letter to every (word, resume-state) pair."""
-    n_letters = len(n_aut.alphabet)
-    out = []
-    # The new pairs are tuples of ints and cannot form cycles.  Left on, the
-    # cycle collector runs after every few hundred of them and now and then
-    # rescans every live object, so a level's cost grew faster than its size.
+    """Append every viable letter to every (word, resume-state) pair; one
+    gather takes every resume state's preimages, as for a layer of M."""
+    masks = np.array([mask for _, mask in frontier], dtype=bool).reshape(-1, n_aut.n_states)
+    pre = masks[:, n_aut.rows]  # (F, letters, n)
+    word_ids, letters = np.nonzero(pre[:, :, 0])
+    # The new pairs cannot form cycles.  Left on, the cycle collector runs
+    # after every few hundred of them and now and then rescans every live
+    # object, so a level's cost grew faster than its size.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for word, mask in frontier:
-            for j in range(n_letters):
-                nxt = n_aut.preimage_mask(mask, j)
-                if nxt & 1:
-                    out.append((word + (j,), nxt))
+        return [
+            (frontier[i][0] + (j,), row)
+            for i, j, row in zip(word_ids.tolist(), letters.tolist(), pre[word_ids, letters])
+        ]
     finally:
         if enabled:
             gc.enable()
-    return out
 
 
 def _warn_unless_free(alphabet: Alphabet, assume_free: bool) -> None:

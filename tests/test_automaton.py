@@ -32,8 +32,8 @@ from quadcomp import (
     to_dot,
     to_json,
 )
-from quadcomp import automaton, cli
-from quadcomp.automaton import _interim_reachable
+from quadcomp import automaton, cli, irreducibility
+from quadcomp.automaton import _reachable as _interim_reachable
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -285,7 +285,11 @@ def test_isomorphic_distinguishes():
 def queue_prune(n_aut):
     """Reference subset walk: one state and one letter at a time, over int
     bitmasks, with a deque for the BFS.  Returns (n_states, trans)."""
-    start_mask = n_aut.accepting_mask
+
+    def preimage(mask, j):
+        return sum(1 << s for s, t in enumerate(n_aut.delta[j]) if (mask >> t) & 1)
+
+    start_mask = sum(1 << s for s, acc in enumerate(n_aut.accepting) if acc)
     ids = {start_mask: 0}
     trans = {}
     queue = deque([start_mask])
@@ -293,7 +297,7 @@ def queue_prune(n_aut):
         mask = queue.popleft()
         sid = ids[mask]
         for j in range(len(n_aut.alphabet)):
-            nxt = n_aut.preimage_mask(mask, j)
+            nxt = preimage(mask, j)
             if not nxt & 1:
                 continue
             if nxt not in ids:
@@ -360,12 +364,6 @@ def test_layer_walk_matches_queue_walk_across_chunks(monkeypatch):
         monkeypatch.setattr(automaton, "_GATHER_BYTES", gather_bytes)
         for n_aut in auts:
             assert_same_walk(n_aut)
-
-
-def test_layer_walk_leaves_the_preimage_memo_empty():
-    n_aut = build_interim(Alphabet.maximal(F7))
-    reverse_subset_prune(n_aut)
-    assert n_aut._pre_memo == {}
 
 
 def test_count_accepted_is_exact_past_two_to_the_63():
@@ -545,6 +543,27 @@ def test_json_with_an_out_of_range_target_is_refused():
     blob = json.loads(to_json(n_aut))
     del blob["transitions"][5]
     with pytest.raises(IndexOutOfRange):
+        automaton_from_json(json.dumps(blob))
+    # a (from, letter) pair listed twice, even with the same target
+    for aut in (n_aut, reverse_subset_prune(n_aut)):
+        for to in (None, 0):
+            blob = json.loads(to_json(aut))
+            extra = dict(blob["transitions"][1])
+            if to is not None:
+                extra["to"] = to
+            blob["transitions"].append(extra)
+            with pytest.raises(IndexOutOfRange):
+                automaton_from_json(json.dumps(blob))
+    # state ids that are not exactly 0..n-1
+    for aut in (n_aut, reverse_subset_prune(n_aut)):
+        for bad in (42, -1, 0):
+            blob = json.loads(to_json(aut))
+            blob["states"][-1]["id"] = bad
+            with pytest.raises(IndexOutOfRange):
+                automaton_from_json(json.dumps(blob))
+    blob = json.loads(to_json(reverse_subset_prune(n_aut)))
+    blob["states"][1]["accepting"] = False
+    with pytest.raises(ValueError):
         automaton_from_json(json.dumps(blob))
 
 
@@ -760,3 +779,104 @@ def test_count_accepted_of_m_over_f29_at_length_20_stays_in_int64():
     got, boxed = object_arrays_seen(count_accepted, m, 20)
     assert got > 2**63
     assert not boxed
+
+
+def first_rejected_prefix(m_aut, word):
+    """1-based length of the shortest prefix that `accepts` rejects, or None."""
+    for pos in range(1, len(word) + 1):
+        if not accepts(m_aut, word[:pos]):
+            return pos
+    return None
+
+
+def random_m_walk(rng, m_aut, length):
+    """A word read along `length` random transitions of M from its start."""
+    word, state = [], m_aut.start
+    for _ in range(length):
+        options = np.flatnonzero(m_aut.table[state] >= 0).tolist()
+        if not options:
+            break
+        j = rng.choice(options)
+        word.append(j)
+        state = m_aut.table.item(state, j)
+    return tuple(word)
+
+
+def test_lazy_first_failure_matches_accepts_on_long_walks_and_random_words():
+    rng = random.Random(1810)
+    automata = [build_interim(Alphabet.maximal(field))
+                for field in (F25, F27, FiniteField(29))]
+    automata += [merge_dist_reg(build_interim(Alphabet.maximal(field))) for field in (F5, F9)]
+    for n_aut in automata:
+        m = reverse_subset_prune(n_aut)
+        n_letters = len(n_aut.alphabet)
+        walks = [random_m_walk(rng, m, 20) for _ in range(40)]
+        assert max(map(len, walks)) == 20
+        words = [tuple(rng.randrange(n_letters) for _ in range(rng.randint(1, 20)))
+                 for _ in range(200)]
+        failures = 0
+        for word in walks + words:
+            expected = first_rejected_prefix(m, word)
+            assert lazy_first_failure(n_aut, word) == expected, word
+            failures += expected is not None
+        assert failures > 0
+
+
+def test_lazy_simulation_and_levels_keep_no_state_on_n(monkeypatch):
+    field = FiniteField(29)
+    alph = Alphabet.maximal(field)
+    n_aut = build_interim(alph)
+    m = reverse_subset_prune(n_aut)
+    rng = random.Random(77)
+    walks = [random_m_walk(rng, m, 20) for _ in range(2000)]
+
+    def footprint():
+        return {key: len(value) if hasattr(value, "__len__") else None
+                for key, value in vars(n_aut).items()}
+
+    assert lazy_accepts(n_aut, walks[0])
+    after_first = footprint()
+    assert all(lazy_accepts(n_aut, word) for word in walks)
+    monkeypatch.setattr(irreducibility, "build_interim", lambda _alph: n_aut)
+    sizes = [len(frontier) for _, frontier in irreducibility.iter_levels(alph, 3)]
+    assert sizes[-1] > 1000
+    assert footprint() == after_first
+    assert not any(isinstance(value, (dict, set)) for value in vars(n_aut).values())
+
+
+def rendered_automata():
+    out = []
+    for alph in (example_alphabet(), Alphabet.maximal(F3), Alphabet.maximal(F9)):
+        n_aut = build_interim(alph)
+        out.append(n_aut)
+        if alph.field is not F3:
+            out.append(merge_dist_reg(n_aut))
+        out.append(reverse_subset_prune(n_aut))
+    return out
+
+
+def test_renderers_list_exactly_the_edges_in_order():
+    kinds = set()
+    for aut in rendered_automata():
+        edges = list(aut.edges())
+        assert edges == sorted(edges)
+        ids = {label: t for t, label in enumerate(aut.labels())}
+        letters = {aut.alphabet.letter_name(j): j for j in range(len(aut.alphabet))}
+        dot_edges = []
+        for line in to_dot(aut).splitlines():
+            if " -> " in line and "__start" not in line:
+                src, rest = line.strip().split(" -> ")
+                dst, label = rest.split(" [label=")
+                dot_edges.append((ids[src.strip('"')], letters[label[1:-3]], ids[dst.strip('"')]))
+        assert dot_edges == edges
+        doc = json.loads(to_json(aut))
+        assert [(t["from"], t["letter"], t["to"]) for t in doc["transitions"]] == edges
+        text_edges = []
+        for line in cli._text_automaton("X", aut):
+            if "--> " in line:
+                src, rest = line.split(" --", 1)
+                letter, dst = rest.split("--> ")
+                text_edges.append((ids[src], letters[letter], ids[dst]))
+        assert text_edges == edges
+        kinds.add((type(aut).__name__, getattr(aut, "merged", None)))
+    assert len(kinds) == 3

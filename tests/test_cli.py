@@ -89,6 +89,16 @@ def test_field_argument_validation(capsys):
     assert rc == 2 and "field is required" in err
 
 
+def test_k_goes_with_p_and_never_with_q(capsys):
+    for k in ("3", "1"):
+        rc, out, err = run(capsys, "count", "--q", "9", "--k", k, "-n", "2")
+        assert rc == 2 and out == [] and "not both" in err
+    # --p alone means k = 1
+    assert run(capsys, "count", "--p", "3", "-n", "3")[:2] == (0, ["words: 4", "polynomials: 12"])
+    assert run(capsys, "count", "--p", "3", "--k", "2", "-n", "2")[:2] == \
+        run(capsys, "count", "--q", "9", "-n", "2")[:2]
+
+
 def test_test_word_verdicts(capsys):
     rc, out, _ = run(capsys, "test", "--q", "5", "--alphabet", EX1, "--word", "fg")
     assert rc == 0 and out == ["Irreducible"]
