@@ -197,9 +197,7 @@ def build_interim(alphabet: Alphabet) -> InterimAutomaton:
         row = [0] * (2 * q + 1)
         row[0] = 1 + field.index_of_raw(field.rneg(b))
         for i, v in enumerate(raws):
-            s = field.rsub(v, a)
-            image = field.rsub(field.rmul(s, s), b)
-            target = 1 + q + field.index_of_raw(image)
+            target = 1 + q + field.index_of_raw(field.rstep(v, a, b))
             row[1 + i] = target
             row[1 + q + i] = target
         delta.append(row)

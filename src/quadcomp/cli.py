@@ -86,7 +86,8 @@ def _field_from_args(args) -> FiniteField:
     if args.q is not None:
         if args.p is not None or args.k is not None:
             raise CliError("give --q or --p (with --k), not both")
-        p, k = _prime_power(args.q)
+        with _usage_errors():
+            p, k = _prime_power(args.q)
     elif args.p is not None:
         p, k = args.p, 1 if args.k is None else args.k
         if p % 2 == 0:

@@ -10,11 +10,15 @@ are immutable.
 from __future__ import annotations
 
 from itertools import product as _iproduct
+from operator import mul
 from typing import Iterator
 
 from .errors import InvalidDegree, NotOddPrime
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above (psi_13): Miller-Rabin
+# with these bases is exact below it and would only guess from it on
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 # squares are tabulated up to this field size, tested by powering beyond it:
 # the table costs one pass over the field and a set of q/2 elements, while
@@ -24,7 +28,10 @@ _SQUARE_TABLE_LIMIT = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n below 3.3e24 (psi_13);
+    raises ValueError for larger n rather than guess."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError("primality is exact only below psi_13 = %d" % _MR_EXACT_BELOW)
     if n < 2:
         return False
     for small in _MR_BASES:
@@ -160,20 +167,42 @@ class FiniteField:
     def rmul(self, u, v):
         if self.k == 1:
             return u * v % self.p
-        k = self.k
-        p = self.p
-        prod = [0] * (2 * k - 1)
+        return self._fold(self._wide(u, v, [0] * (2 * self.k - 1)))
+
+    def rdot(self, us, vs):
+        """The sum of u * v over paired raw values us and vs, reduced once."""
+        if self.k == 1:
+            return sum(map(mul, us, vs)) % self.p
+        acc = [0] * (2 * self.k - 1)
+        for u, v in zip(us, vs):
+            self._wide(u, v, acc)
+        return self._fold(acc)
+
+    def rstep(self, v, a, b):
+        """(v - a)^2 - b for raw values, reduced once."""
+        if self.k == 1:
+            return ((v - a) * (v - a) - b) % self.p
+        s = [x - y for x, y in zip(v, a)]
+        return self._fold(self._wide(s, s, [-c for c in b] + [0] * (self.k - 1)))
+
+    def _wide(self, u, v, acc):
+        """acc plus the unreduced coordinate product of u and v, in 2k - 1
+        slots for t^0 .. t^(2k-2)."""
         for i, a in enumerate(u):
             if a:
                 for j, b in enumerate(v):
-                    prod[i + j] += a * b
-        for j in range(2 * k - 2, k - 1, -1):
-            c = prod[j] % p
+                    acc[i + j] += a * b
+        return acc
+
+    def _fold(self, acc):
+        """The raw value of 2k - 1 unreduced slots, by the reduction rows."""
+        k, p = self.k, self.p
+        for j in range(k, 2 * k - 1):
+            c = acc[j] % p
             if c:
-                row = self._red[j - k]
-                for i in range(k):
-                    prod[i] += c * row[i]
-        return tuple([c % p for c in prod[:k]])
+                for i, r in enumerate(self._red[j - k]):
+                    acc[i] += c * r
+        return tuple([c % p for c in acc[:k]])
 
     def rpow(self, u, e: int):
         if e < 0:

@@ -367,3 +367,10 @@ def test_no_command_takes_a_seed(capsys):
                  ("local", "--p", "5", "--chain", "a=1 b=3")):
         rc, out, _ = run(capsys, *argv, "--seed", "42")
         assert (rc, out) == (2, []), argv
+
+
+def test_q_past_the_exact_primality_bound_is_a_usage_error(capsys):
+    psi_13 = 3_317_044_064_679_887_385_961_981
+    rc, out, err = run(capsys, "count", "--q", str(psi_13), "-n", "1")
+    assert (rc, out) == (2, [])
+    assert err.startswith("error: ") and "exact only below" in err

@@ -156,3 +156,49 @@ def test_nonsquare_by_table_and_by_euler_agree_with_powering():
             want = u != 0 and field.rpow(u, (p - 1) // 2) != 1
             assert field.is_nonsquare_raw(u) == want
         assert (field._squares is not None) == tabulated
+
+
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318_665_857_834_031_151_167_461  # 399,165,290,221 * 798,330,580,441
+PSI_13 = 3_317_044_064_679_887_385_961_981  # 1,287,836,182,261 * 2,575,672,364,521
+
+
+def test_is_prime_is_exact_below_psi_13_and_refuses_from_it():
+    assert PSI_12 == 399_165_290_221 * 798_330_580_441
+    assert PSI_13 == 1_287_836_182_261 * 2_575_672_364_521
+    assert not is_prime(PSI_12)
+    with pytest.raises(NotOddPrime):
+        FiniteField(PSI_12)
+    for n in (PSI_13, PSI_13 + 2, 2 ** 127 - 1):
+        with pytest.raises(ValueError, match="exact only below"):
+            is_prime(n)
+
+
+def raw_fold(field, us, vs):
+    acc = field.zero_raw
+    for u, v in zip(us, vs):
+        acc = field.radd(acc, field.rmul(u, v))
+    return acc
+
+
+def test_rdot_and_rstep_agree_with_the_field_operations():
+    fields = [FiniteField(3), FiniteField(3, 2), FiniteField(5, 2), FiniteField(3, 3),
+              FiniteField(3, 4), FiniteField(3, 5), FiniteField(2 ** 31 - 1)]
+    for field in fields:
+        rng = random.Random(field.q)
+        zero, top = field.zero_raw, field.raw_from_index(field.q - 1)
+
+        def pick():
+            return field.raw_from_index(rng.randrange(field.q))
+
+        for n in (0, 1, 2, 3, 7, 20):
+            us = [pick() for _ in range(n)]
+            vs = [pick() for _ in range(n)]
+            assert field.rdot(us, vs) == raw_fold(field, us, vs), (field, n)
+            assert field.rdot(us, [zero] * n) == zero
+            assert field.rdot([top] * n, [top] * n) == raw_fold(field, [top] * n, [top] * n)
+        triples = [(pick(), pick(), pick()) for _ in range(60)]
+        triples += [(zero, zero, zero), (top, zero, top), (zero, top, zero), (top, top, top)]
+        for v, a, b in triples:
+            s = field.rsub(v, a)
+            assert field.rstep(v, a, b) == field.rsub(field.rmul(s, s), b), (field, v, a, b)

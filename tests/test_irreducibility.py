@@ -485,7 +485,7 @@ def peels_until_refused(peel, F):
     return bs, None
 
 
-REFERENCE_FIELDS = (F3, F9, FiniteField(5, 2), FiniteField(3, 3),
+REFERENCE_FIELDS = (F3, F9, FiniteField(5, 2), FiniteField(3, 3), FiniteField(3, 4),
                     FiniteField(65537), FiniteField(1_000_003))
 
 
@@ -609,3 +609,40 @@ def test_canonicalize_builds_no_poly_and_one_field_element(monkeypatch):
     assert len(elements) == 1  # the returned shift
     assert got == word
     assert F.shift_argument(shift) == pi(word, mx)
+
+
+def random_chain(field, rng, length):
+    return CanonicalChain(tuple(random_elem(field, rng) for _ in range(length)),
+                          random_elem(field, rng))
+
+
+def test_degree_1024_round_trips_at_k_3_and_large_p():
+    rng = random.Random(1024)
+    for field in (FiniteField(3, 3), FiniteField(2 ** 31 - 1)):
+        chain = random_chain(field, rng, 10)
+        F = chain.recompose()
+        assert F.degree == 1024
+        assert full_decompose(F) == full_decompose_reference(F) == chain
+
+
+def test_every_monomial_bump_of_a_degree_64_composition():
+    # F = (x^2 - a) o H with deg H = 32: adding c to F changes only a, and
+    # adding c x^i for 1 <= i <= 31 leaves H fixed by degrees 63 .. 32 of F
+    # and breaks F + a = H^2 below them
+    rng = random.Random(64)
+    for field in (F9, FiniteField(3, 3), FiniteField(2 ** 31 - 1)):
+        F = random_chain(field, rng, 6).recompose()
+        assert F.degree == 64
+        a, H = decompose_quadratic_outer(F)
+        c = random_elem(field, rng)
+        while c.is_zero():
+            c = random_elem(field, rng)
+        for i in range(64):
+            G = F + Poly(field, [0] * i + [c])
+            if i == 0:
+                assert decompose_quadratic_outer(G) == (a - c, H)
+            elif i <= 31:
+                with pytest.raises(NotDecomposable):
+                    decompose_quadratic_outer(G)
+            want = peels_until_refused(decompose_reference, G)
+            assert peels_until_refused(decompose_quadratic_outer, G) == want, (field, i)
