@@ -109,8 +109,8 @@ def compose_levels(
     cplx = _mode_is_complex(field)
     p = field.p
     dtype = np.complex128 if cplx else np.float64
-    a_vals = [_embed(field, quad.a.val) for quad in alphabet]
-    b_vals = [_embed(field, quad.b.val) for quad in alphabet]
+    a_vals = [_embed(field, a) for a, _ in alphabet.pairs]
+    b_vals = [_embed(field, b) for _, b in alphabet.pairs]
     current = np.zeros((1, 2), dtype=dtype)
     current[0, 1] = 1.0
     levels = {}

@@ -18,6 +18,7 @@ from typing import List, Optional
 
 from .automaton import (
     InterimAutomaton,
+    _check_interim_q,
     _json_doc,
     build_interim,
     count_accepted,
@@ -40,7 +41,7 @@ from .irreducibility import (
     test_decomposable,
 )
 from .local_field import DEFAULT_PRECISION, PadicInt, PadicQuad, local_irreducible
-from .monoid import Alphabet, MonicQuad, collision_search, freedom_certificate, pi
+from .monoid import Alphabet, MonicQuad, collision_search, freedom_certificate, name_word, pi
 from .polynomial import Poly, _split_csv
 
 DEFAULT_OUTPUT_BUDGET = 1_000_000
@@ -129,6 +130,15 @@ def _parse_alphabet(field: FiniteField, text: str) -> Alphabet:
         return Alphabet(field, letters)
 
 
+def _automaton_alphabet(args) -> Alphabet:
+    """The alphabet of args, once its field is known to be small enough
+    for the automata; a larger one is refused before any letter is built."""
+    field = _field_from_args(args)
+    with _usage_errors():
+        _check_interim_q(field.q)
+    return _parse_alphabet(field, args.alphabet)
+
+
 def _format_word(alphabet: Alphabet, word, innermost_first: bool) -> str:
     if innermost_first:
         word = tuple(reversed(tuple(word)))
@@ -159,8 +169,7 @@ def _text_automaton(name: str, aut) -> List[str]:
 
 
 def cmd_build(args) -> int:
-    field = _field_from_args(args)
-    alphabet = _parse_alphabet(field, args.alphabet)
+    alphabet = _automaton_alphabet(args)
     n_aut = build_interim(alphabet)
     if args.merge:
         with _usage_errors():
@@ -243,8 +252,7 @@ def _accepted_words(alphabet: Alphabet, n: int, budget: int) -> List[tuple]:
 
 
 def cmd_enumerate(args) -> int:
-    field = _field_from_args(args)
-    alphabet = _parse_alphabet(field, args.alphabet)
+    alphabet = _automaton_alphabet(args)
     if args.n < 1:
         raise CliError("n must be >= 1")
     if args.budget < 0:
@@ -255,10 +263,9 @@ def cmd_enumerate(args) -> int:
             print(_format_word(alphabet, word, args.innermost_first))
         return 0
     if alphabet.is_maximal:
-        if field.q * len(words) > args.budget:
-            raise BudgetExceeded(
-                "%d polynomials exceed the budget %d" % (field.q * len(words), args.budget)
-            )
+        n_polys = alphabet.field.q * len(words)
+        if n_polys > args.budget:
+            raise BudgetExceeded("%d polynomials exceed the budget %d" % (n_polys, args.budget))
         rows = _shifted_compositions(alphabet, words)
     else:
         rows = ((None, word, pi(word, alphabet)) for word in words)
@@ -274,8 +281,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    field = _field_from_args(args)
-    alphabet = _parse_alphabet(field, args.alphabet)
+    alphabet = _automaton_alphabet(args)
     if args.n < 0:
         raise CliError("n must be >= 0")
     m_aut = reverse_subset_prune(build_interim(alphabet))
@@ -285,7 +291,7 @@ def cmd_count(args) -> int:
         return 0
     print("words: %d" % words)
     if alphabet.is_maximal and args.n >= 1:
-        print("polynomials: %d" % (field.q * words))
+        print("polynomials: %d" % (alphabet.field.q * words))
     return 0
 
 
@@ -332,7 +338,8 @@ def cmd_canonicalize(args) -> int:
             print("NotDecomposable")
             return 3
     print("shift: %s" % shift)
-    print("word: %s" % Alphabet.maximal(field).format_word(word))
+    # letter j of the maximal alphabet is x^2 - e_j, one letter per element
+    print("word: %s" % name_word(word, field.q))
     return 0
 
 

@@ -178,12 +178,19 @@ class FiniteField:
             self._wide(u, v, acc)
         return self._fold(acc)
 
-    def rstep(self, v, a, b):
-        """(v - a)^2 - b for raw values, reduced once."""
+    def rchain(self, v, pairs):
+        """The raw value v sent through (x - a)^2 - b for each raw pair
+        (a, b) of `pairs` in turn, reduced once a step."""
         if self.k == 1:
-            return ((v - a) * (v - a) - b) % self.p
-        s = [x - y for x, y in zip(v, a)]
-        return self._fold(self._wide(s, s, [-c for c in b] + [0] * (self.k - 1)))
+            p = self.p
+            for a, b in pairs:
+                v = ((v - a) * (v - a) - b) % p
+            return v
+        pad = [0] * (self.k - 1)
+        for a, b in pairs:
+            s = [x - y for x, y in zip(v, a)]
+            v = self._fold(self._wide(s, s, [-c for c in b] + pad))
+        return v
 
     def _wide(self, u, v, acc):
         """acc plus the unreduced coordinate product of u and v, in 2k - 1
@@ -397,10 +404,6 @@ class FieldElement:
 
     def is_nonsquare(self) -> bool:
         return self.field.is_nonsquare_raw(self.val)
-
-    @property
-    def coords(self) -> tuple:
-        return (self.val,) if self.field.k == 1 else self.val
 
     def index(self) -> int:
         return self.field.index_of_raw(self.val)

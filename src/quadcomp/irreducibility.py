@@ -73,23 +73,6 @@ class ChainReport:
         return self.first_failure
 
 
-def _raw_chain_value(field: FiniteField, prefix: Sequence[tuple], b):
-    """The chain value for a letter with raw constant `b` following the
-    outer letters `prefix`, given as raw (a, b) pairs, outermost first.
-
-    With an empty prefix the value is b itself; otherwise it is
-    (prefix_1 o ... o prefix_i)(-b), applied from the innermost prefix
-    letter outward by the field's rstep.
-    """
-    if not prefix:
-        return b
-    step = field.rstep
-    v = field.rneg(b)
-    for a, c in reversed(prefix):
-        v = step(v, a, c)
-    return v
-
-
 def chain_value(prefix: Sequence[MonicQuad], letter: MonicQuad) -> FieldElement:
     """The chain value for `letter` following the outer letters `prefix`.
 
@@ -99,24 +82,26 @@ def chain_value(prefix: Sequence[MonicQuad], letter: MonicQuad) -> FieldElement:
     outward.
     """
     field = letter.field
-    if any(quad.field != field for quad in prefix):
-        raise ValueError("mixed field contexts")
-    pairs = [(quad.a.val, quad.b.val) for quad in prefix]
-    return FieldElement(field, _raw_chain_value(field, pairs, letter.b.val))
+    if not prefix:
+        return letter.b
+    pairs = _letter_pairs(field, reversed(prefix))
+    return FieldElement(field, field.rchain(field.rneg(letter.b.val), pairs))
 
 
 def _raw_chain(field: FiniteField, pairs: Iterable[tuple]) -> Tuple[list, Optional[int]]:
     """Chain values of letters given as raw (a, b) pairs, outermost first.
 
-    Returns the raw values up to and including the first square one, and
-    that value's 1-based index, or None when every value is a nonsquare.
-    Pairs are drawn one at a time, so a lazy iterable is read no further
-    than the first square value.
+    The first value is b_1; value i is -b_i sent through the outer letters
+    from the innermost outward by the field's rchain.  Returns the raw
+    values up to and including the first square one, and that value's
+    1-based index, or None when every value is a nonsquare.  Pairs are
+    drawn one at a time, so a lazy iterable is read no further than the
+    first square value.
     """
     prefix: List[tuple] = []
     values = []
     for a, b in pairs:
-        value = _raw_chain_value(field, prefix, b)
+        value = field.rchain(field.rneg(b), reversed(prefix)) if prefix else b
         values.append(value)
         if not field.is_nonsquare_raw(value):
             return values, len(values)
@@ -124,7 +109,7 @@ def _raw_chain(field: FiniteField, pairs: Iterable[tuple]) -> Tuple[list, Option
     return values, None
 
 
-def _letter_pairs(field: FiniteField, letters: Sequence[MonicQuad]) -> Iterator[tuple]:
+def _letter_pairs(field: FiniteField, letters: Iterable[MonicQuad]) -> Iterator[tuple]:
     for quad in letters:
         if quad.field != field:
             raise ValueError("mixed field contexts")
@@ -151,15 +136,13 @@ def letter_chain(letters: Sequence[MonicQuad]) -> ChainReport:
 def chain_irreducible(word: Sequence[int], alphabet: Alphabet) -> ChainReport:
     """Chain criterion for a word over an alphabet (outermost letter first).
 
-    Letters are read from the alphabet one at a time as raw (a, b) pairs,
-    so a word that fails early reads no further letters.
+    Letters are read from `alphabet.pairs` one at a time, so a word that
+    fails early reads no further letters.
     """
     word = alphabet.check_word(word)
     if not word:
         raise EmptyWord("the chain criterion needs a nonempty word")
-    letters = alphabet.letters
-    pairs = ((letters[j].a.val, letters[j].b.val) for j in word)
-    return _chain_report(alphabet.field, pairs)
+    return _chain_report(alphabet.field, map(alphabet.pairs.__getitem__, word))
 
 
 def extend_frontier(n_aut: InterimAutomaton, frontier: Frontier) -> Frontier:

@@ -21,6 +21,18 @@ DEFAULT_SEARCH_BUDGET = 200_000
 _NAME_BASE = "fghijklmnopqrstuvwxyz"
 
 
+def _letter_name(i: int, n_letters: int) -> str:
+    return _NAME_BASE[i] if n_letters <= len(_NAME_BASE) else "L%d" % i
+
+
+def name_word(word: Sequence[int], n_letters: int) -> str:
+    """A word's text over any alphabet of n_letters letters: the names f
+    to z run together ('ggf') up to 21 letters; wider alphabets give
+    L<i>, comma separated ('L0,L12')."""
+    sep = "" if n_letters <= len(_NAME_BASE) else ","
+    return sep.join(_letter_name(i, n_letters) for i in word) or "(empty)"
+
+
 @dataclass(frozen=True)
 class MonicQuad:
     """The map x -> (x - a)^2 - b."""
@@ -60,21 +72,26 @@ class MonicQuad:
 
 
 class Alphabet:
-    """An ordered duplicate-free set of letters over one field."""
+    """An ordered duplicate-free set of letters over one field.
+
+    `pairs` holds each letter's raw (a, b), in letter order: the one form
+    in which chains, automata and the batched composer read the letters.
+    """
 
     def __init__(self, field: FiniteField, letters: Sequence[MonicQuad]):
         letters = tuple(letters)
         for quad in letters:
             if quad.field != field:
                 raise ValueError("letter field does not match alphabet field")
+        pairs = tuple((quad.a.val, quad.b.val) for quad in letters)
         seen = set()
-        for quad in letters:
-            key = (quad.a.val, quad.b.val)
-            if key in seen:
+        for quad, pair in zip(letters, pairs):
+            if pair in seen:
                 raise ValueError("duplicate letter %s" % (quad,))
-            seen.add(key)
+            seen.add(pair)
         self.field = field
         self.letters = letters
+        self.pairs = pairs
 
     @classmethod
     def maximal(cls, field: FiniteField) -> "Alphabet":
@@ -84,10 +101,8 @@ class Alphabet:
 
     @property
     def is_maximal(self) -> bool:
-        if len(self.letters) != self.field.q:
-            return False
         zero = self.field.zero_raw
-        return all(quad.a.val == zero for quad in self.letters)
+        return len(self.pairs) == self.field.q and all(a == zero for a, _ in self.pairs)
 
     def __len__(self):
         return len(self.letters)
@@ -101,14 +116,10 @@ class Alphabet:
     def __eq__(self, other):
         if not isinstance(other, Alphabet):
             return NotImplemented
-        return self.field == other.field and [
-            (l.a.val, l.b.val) for l in self.letters
-        ] == [(l.a.val, l.b.val) for l in other.letters]
+        return self.field == other.field and self.pairs == other.pairs
 
     def letter_name(self, i: int) -> str:
-        if len(self.letters) <= len(_NAME_BASE):
-            return _NAME_BASE[i]
-        return "L%d" % i
+        return _letter_name(i, len(self.letters))
 
     def parse_word(self, text: str) -> tuple:
         """Accept single-char names ('ggf'), or comma/space separated
@@ -132,9 +143,7 @@ class Alphabet:
         return tuple(word)
 
     def format_word(self, word: Sequence[int]) -> str:
-        if len(self.letters) <= len(_NAME_BASE):
-            return "".join(self.letter_name(i) for i in word) or "(empty)"
-        return ",".join(self.letter_name(i) for i in word) or "(empty)"
+        return name_word(word, len(self.letters))
 
     def check_word(self, word: Sequence[int]) -> tuple:
         word = tuple(word)

@@ -178,9 +178,6 @@ class Poly:
             return FieldElement(self.field, self.vals[i])
         return self.field.zero
 
-    def coefficients(self) -> tuple:
-        return tuple(FieldElement(self.field, v) for v in self.vals)
-
     def leading(self) -> FieldElement:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")

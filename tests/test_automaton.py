@@ -58,6 +58,17 @@ def test_interim_shape():
         assert not aut.merged
 
 
+def test_interim_refuses_fields_past_its_bound():
+    assert automaton.MAX_INTERIM_Q == 1024
+    for field in (FiniteField(1021), FiniteField(1031), FiniteField(3, 7), FiniteField(1_000_003)):
+        one_letter = Alphabet(field, [MonicQuad(field.zero, field.one)])
+        if field.q <= 1024:
+            assert build_interim(one_letter).n_states == 2 * field.q + 1
+            continue
+        with pytest.raises(ValueError, match="^the automata need q <= 1024, got q = %d$" % field.q):
+            build_interim(one_letter)
+
+
 def state_of(aut, kind, value):
     for i, s in enumerate(aut.states):
         if s.kind == kind and s.value == value:

@@ -374,3 +374,27 @@ def test_q_past_the_exact_primality_bound_is_a_usage_error(capsys):
     rc, out, err = run(capsys, "count", "--q", str(psi_13), "-n", "1")
     assert (rc, out) == (2, [])
     assert err.startswith("error: ") and "exact only below" in err
+
+
+def test_fields_too_large_for_the_automata_are_refused_before_any_letter(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("an alphabet was built")
+
+    monkeypatch.setattr(Alphabet, "__init__", refuse)
+    for argv in (("count", "--q", "1000003", "-n", "1"),
+                 ("count", "--q", "1031", "--alphabet", "b=1", "-n", "1"),
+                 ("build", "--q", "1000003"),
+                 ("enumerate", "--q", "1000003", "-n", "1", "--words")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, []), argv
+        assert err == "error: the automata need q <= 1024, got q = %s\n" % argv[2], argv
+    # the letters of canonicalize's word are named from their number alone
+    rc, out, _ = run(capsys, "canonicalize", "--q", "1000003", "--poly", "1,0,1")
+    assert (rc, out) == (0, ["shift: 0", "word: L1000002"])
+
+
+def test_the_largest_field_allowed_builds_its_automata(capsys):
+    rc, out, _ = run(capsys, "count", "--q", "1021", "--alphabet", "b=1;b=2", "-n", "3")
+    alphabet = _parse_alphabet(FiniteField(1021), "b=1;b=2")
+    words = sum(chain_irreducible(w, alphabet).irreducible for w in product(range(2), repeat=3))
+    assert (rc, out) == (0, ["words: %d" % words])

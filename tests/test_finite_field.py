@@ -181,7 +181,14 @@ def raw_fold(field, us, vs):
     return acc
 
 
-def test_rdot_and_rstep_agree_with_the_field_operations():
+def raw_chain_fold(field, v, pairs):
+    for a, b in pairs:
+        s = field.rsub(v, a)
+        v = field.rsub(field.rmul(s, s), b)
+    return v
+
+
+def test_rdot_and_rchain_agree_with_the_field_operations():
     fields = [FiniteField(3), FiniteField(3, 2), FiniteField(5, 2), FiniteField(3, 3),
               FiniteField(3, 4), FiniteField(3, 5), FiniteField(2 ** 31 - 1)]
     for field in fields:
@@ -197,8 +204,10 @@ def test_rdot_and_rstep_agree_with_the_field_operations():
             assert field.rdot(us, vs) == raw_fold(field, us, vs), (field, n)
             assert field.rdot(us, [zero] * n) == zero
             assert field.rdot([top] * n, [top] * n) == raw_fold(field, [top] * n, [top] * n)
-        triples = [(pick(), pick(), pick()) for _ in range(60)]
-        triples += [(zero, zero, zero), (top, zero, top), (zero, top, zero), (top, top, top)]
-        for v, a, b in triples:
-            s = field.rsub(v, a)
-            assert field.rstep(v, a, b) == field.rsub(field.rmul(s, s), b), (field, v, a, b)
+        for n in range(21):
+            for _ in range(3):
+                v, pairs = pick(), [(pick(), pick()) for _ in range(n)]
+                assert field.rchain(v, pairs) == raw_chain_fold(field, v, pairs), (field, n)
+            for v, pair in [(zero, (zero, zero)), (top, (zero, top)), (zero, (top, zero)),
+                            (top, (top, top))]:
+                assert field.rchain(v, [pair] * n) == raw_chain_fold(field, v, [pair] * n)

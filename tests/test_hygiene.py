@@ -1,11 +1,13 @@
 """Source hygiene checks over the package modules."""
 
 import ast
+import re
 from pathlib import Path
 
 import quadcomp
 
 PACKAGE = Path(quadcomp.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list:
@@ -93,3 +95,70 @@ def test_unread_private_names_are_found():
 def test_every_private_module_name_is_read():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == {}
+
+
+def public_members(source: str) -> list:
+    """The "Class.name" of every public method and property that the
+    classes of a module define, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            found += [
+                "%s.%s" % (node.name, item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            ]
+    return list(dict.fromkeys(found))  # a property's setter repeats its name
+
+
+def attributes_read(source: str) -> set:
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_public_members(package: dict, readers: dict, readme: str) -> dict:
+    """{module: public members of its classes that no source in `readers`
+    reads as an attribute and `readme` never names as `.name`}."""
+    read = set().union(*map(attributes_read, readers.values()))
+    read |= set(re.findall(r"\.(\w+)", readme))
+    found = {
+        module: [m for m in public_members(source) if m.split(".")[1] not in read]
+        for module, source in package.items()
+    }
+    return {module: members for module, members in found.items() if members}
+
+
+def test_unread_public_members_are_found():
+    a = (
+        "class Box:\n"
+        "    def get(self):\n        return self._peek()\n"
+        "    def _peek(self):\n        pass\n"
+        "    def __len__(self):\n        return 0\n"
+        "    @property\n    def size(self):\n        return 0\n"
+        "    @size.setter\n    def size(self, v):\n        pass\n"
+        "    @property\n    def spare(self):\n        return 0\n"
+        "    def shown(self):\n        pass\n"
+        "    def put(self):\n        pass\n"
+        "def unread():\n    pass\n"
+    )
+    # writing b.spare is not reading it, and a name alone is not an attribute
+    b = "box = Box()\nbox.get()\nbox.spare = 1\nput = 2\nprint(box.size)\n"
+    readme = "Call `box.shown()` to show it; put it away.\n"
+    assert unread_public_members({"a.py": a}, {"a.py": a, "b.py": b}, readme) == {
+        "a.py": ["Box.spare", "Box.put"]
+    }
+
+
+def test_every_public_member_is_read():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = {
+        str(path.relative_to(REPO)): path.read_text()
+        for folder in ("src", "tests", "bench")
+        for path in sorted((REPO / folder).rglob("*.py"))
+    }
+    readme = (REPO / "README.md").read_text()
+    assert unread_public_members(package, readers, readme) == {}

@@ -19,6 +19,7 @@ from quadcomp import (
     pi,
     words_related,
 )
+from quadcomp.monoid import name_word
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -63,6 +64,34 @@ def test_alphabet_basics():
     assert len(Alphabet.maximal(F3)) == 3
     with pytest.raises(ValueError):
         Alphabet(F5, [alph[0], alph[0]])
+
+
+def test_alphabet_pairs_hold_each_letters_raw_constants():
+    alph = example_alphabet()
+    assert alph.pairs == ((0, 2), (1, 3))
+    F9 = FiniteField(3, 2)
+    mixed = Alphabet(F9, [MonicQuad(F9.elem([1, 2]), F9.elem([0, 1])), MonicQuad(F9.zero, F9.one)])
+    assert mixed.pairs == (((1, 2), (0, 1)), ((0, 0), (1, 0)))
+    assert Alphabet.maximal(F9).pairs == tuple((F9.zero_raw, b) for b in F9.iter_raw())
+    with pytest.raises(ValueError, match=r"^duplicate letter a=1 b=3$"):
+        Alphabet(F5, [alph[1], alph[0], MonicQuad(F5.elem(6), F5.elem(-2))])
+    # equality compares the field and the letters in order
+    assert alph == example_alphabet()
+    assert alph != Alphabet(F5, [alph[1], alph[0]])
+    assert alph != Alphabet(F5, [alph[0]])
+    assert Alphabet(F3, [MonicQuad(F3.zero, F3.one)]) != Alphabet(F5, [MonicQuad(F5.zero, F5.one)])
+    assert Alphabet.maximal(F5) == Alphabet(F5, [MonicQuad(F5.zero, b) for b in F5.elements()])
+
+
+def test_word_names_depend_on_the_letter_count_alone():
+    assert name_word((1, 1, 0), 2) == "ggf"
+    assert name_word((20, 0), 21) == "zf"
+    assert name_word((21, 0), 22) == "L21,L0"
+    assert name_word((), 22) == "(empty)"
+    for q in (5, 23):
+        mx = Alphabet.maximal(FiniteField(q))
+        for word in [(), (0,), (q - 1, 2, 0)]:
+            assert mx.format_word(word) == name_word(word, q)
 
 
 def test_word_parse_and_format():
