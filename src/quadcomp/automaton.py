@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, UnsupportedFormat
+from .errors import BudgetExceeded, IndexOutOfRange, UnsupportedFormat
 from .finite_field import FieldElement, FiniteField
 from .monoid import Alphabet, MonicQuad
 
@@ -36,6 +37,14 @@ _GATHER_BYTES = 1 << 24
 # field allowed, building it took 0.8-1.0 s at 92 MB peak RSS (2-core
 # x86-64, Python 3.11); at q = 1,000,003 it ran out of memory after 26 s.
 MAX_INTERIM_Q = 1 << 10
+
+# reverse_subset_prune refuses to hold more than this many bytes of M's
+# table, subset ids and next frontier.  For the maximal alphabet, M has
+# 651,985 states at q = 41 and 2,038,570 at q = 43, about 3.5 times more per
+# prime.  The q = 43 walk peaked at 1,046 MB RSS (2-core x86-64, Python
+# 3.11), and its estimate at 562 MB; q = 53 passes 1 GiB at layer 5, with
+# 4.9 M states, after 18 s.
+MAX_WALK_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -60,10 +69,11 @@ class NState:
 class InterimAutomaton:
     """Complete DFA over the alphabet; all transitions defined.
 
-    delta[j][s] is the successor of state s under letter j: one row per
-    letter, each with one target in [0, n_states) per state, and one
-    accepting flag per state; anything else raises IndexOutOfRange.
-    State 0, the initial state, is the start.
+    N is two read-only arrays: `rows`, whose entry [j, s] is the successor
+    of state s under letter j, and the bool row `accepting_mask`.  They are
+    built from delta[j][s]: one row per letter, each with one target in
+    [0, n_states) per state, and one accepting flag per state; anything
+    else raises IndexOutOfRange.  State 0, the initial state, is the start.
 
     A set of states is a bool row over the states.  Its preimage under
     letter j, the states whose j-successor lies in the set, is
@@ -76,47 +86,41 @@ class InterimAutomaton:
         self.field = field
         self.alphabet = alphabet
         self.states = tuple(states)
-        self.accepting = tuple(accepting)
-        self.delta = tuple(tuple(row) for row in delta)
         self.merged = merged
-        n = len(self.states)
-        if len(self.accepting) != n or len(self.delta) != len(alphabet):
-            raise IndexOutOfRange("need %d accepting flags and %d rows" % (n, len(alphabet)))
-        for j, row in enumerate(self.delta):
-            if len(row) != n or not all(0 <= t < n for t in row):
-                raise IndexOutOfRange("letter %d needs %d targets in [0, %d)" % (j, n, n))
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """delta as a read-only (letters, n_states) intp array."""
-        rows = np.array(self.delta, dtype=np.intp).reshape(len(self.delta), self.n_states)
-        rows.setflags(write=False)
-        return rows
+        self.n_states = n = len(self.states)
+        if len(accepting) != n or [len(row) for row in delta] != [n] * len(alphabet):
+            raise IndexOutOfRange("need %d flags, %d rows of %d targets" % (n, len(alphabet), n))
+        self.rows = np.array(delta, dtype=np.intp).reshape(len(alphabet), n)
+        if self.rows.size and not 0 <= self.rows.min() <= self.rows.max() < n:
+            raise IndexOutOfRange("transition targets must lie in [0, %d)" % n)
+        self.accepting_mask = np.array(accepting, dtype=bool)
+        for array in (self.rows, self.accepting_mask):
+            array.setflags(write=False)
 
     @cached_property
-    def accepting_mask(self) -> np.ndarray:
-        """The accepting states as a read-only bool row."""
-        mask = np.array(self.accepting, dtype=bool)
-        mask.setflags(write=False)
-        return mask
+    def delta(self) -> tuple:
+        """`rows` as nested tuples of Python ints; derived on first use and kept."""
+        return tuple(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def accepting(self) -> tuple:
+        """`accepting_mask` as a tuple of bools; derived on first use and kept."""
+        return tuple(self.accepting_mask.tolist())
 
     def labels(self) -> list:
         return [st.label() for st in self.states]
 
     def edges(self):
         """(state, letter, target) of every transition, in (state, letter) order."""
-        n_letters = len(self.delta)
-        return ((s, j, self.delta[j][s]) for s in range(self.n_states) for j in range(n_letters))
+        return ((s, j, t) for s, targets in enumerate(self.rows.T.tolist())
+                for j, t in enumerate(targets))
 
     def __eq__(self, other):
         if not isinstance(other, InterimAutomaton):
             return NotImplemented
-        key = operator.attrgetter("field", "alphabet", "states", "accepting", "delta")
-        return key(self) == key(other)
+        key = operator.attrgetter("field", "alphabet", "states")
+        return (key(self) == key(other) and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.accepting_mask, other.accepting_mask))
 
 
 class PartialDfa:
@@ -198,20 +202,18 @@ def build_interim(alphabet: Alphabet) -> InterimAutomaton:
     q = field.q
     _check_interim_q(q)
     raws = list(field.iter_raw())
-    states = [NState("initial", None)]
-    states += [NState("dist", FieldElement(field, v)) for v in raws]
+    states = [NState("initial", None)] + [NState("dist", FieldElement(field, v)) for v in raws]
     states += [NState("reg", FieldElement(field, v)) for v in raws]
-    accepting = [True]
-    accepting += [field.is_nonsquare_raw(field.rneg(v)) for v in raws]
+    accepting = [True] + [field.is_nonsquare_raw(field.rneg(v)) for v in raws]
     accepting += [field.is_nonsquare_raw(v) for v in raws]
-    delta = []
+    rows = np.empty((len(alphabet), len(states)), dtype=np.intp)
     rchain, index = field.rchain, field.index_of_raw
-    for pair in alphabet.pairs:
-        # <v> and (v) both go to (f(v)); the initial state goes to <-b>
+    for j, pair in enumerate(alphabet.pairs):
+        # the initial state goes to <-b>; <v> and (v) both go to (f(v))
         step = (pair,)
-        targets = [1 + q + index(rchain(v, step)) for v in raws]
-        delta.append([1 + index(field.rneg(pair[1]))] + targets + targets)
-    return InterimAutomaton(field, alphabet, states, accepting, delta)
+        rows[j, 0] = 1 + index(field.rneg(pair[1]))
+        rows[j, 1 : q + 1] = rows[j, q + 1 :] = [1 + q + index(rchain(v, step)) for v in raws]
+    return InterimAutomaton(field, alphabet, states, accepting, rows)
 
 
 def merge_dist_reg(n_aut: InterimAutomaton) -> InterimAutomaton:
@@ -228,9 +230,9 @@ def merge_dist_reg(n_aut: InterimAutomaton) -> InterimAutomaton:
         return n_aut
     q = field.q
     states = n_aut.states[:1] + n_aut.states[q + 1 :]
-    accepting = n_aut.accepting[:1] + n_aut.accepting[q + 1 :]
-    delta = [row[:1] + tuple(t - q for t in row[q + 1 :]) for row in n_aut.delta]
-    return InterimAutomaton(field, n_aut.alphabet, states, accepting, delta, merged=True)
+    accepting = np.hstack([n_aut.accepting_mask[:1], n_aut.accepting_mask[q + 1 :]])
+    rows = np.hstack([n_aut.rows[:, :1], n_aut.rows[:, q + 1 :] - q])
+    return InterimAutomaton(field, n_aut.alphabet, states, accepting, rows, merged=True)
 
 
 def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
@@ -246,15 +248,20 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     every letter at once.  Rows are packed into hashable byte keys, and one
     dict numbers the subsets in order of first appearance, the order a
     queue-driven walk discovers them in.  Each chunk writes its own block
-    of M's transition table.
+    of M's transition table.  After each chunk the walk estimates the bytes
+    it holds, and past MAX_WALK_BYTES it raises BudgetExceeded.
     """
     n = n_aut.n_states
     n_letters = len(n_aut.alphabet)
     chunk = max(1, _GATHER_BYTES // (n_letters * n))
     frontier = n_aut.accepting_mask[None, :]
     ids = {_pack(frontier).item(): 0}
+    # besides its dict slot, each id holds its bytes key and an int (32 bytes past 2**30)
+    per_id = sys.getsizeof(next(iter(ids))) + sys.getsizeof(1 << 30)
     blocks = []  # M's table, flattened, one block per chunk
+    layer = 0
     while len(frontier):
+        layer += 1
         fresh = []
         for lo in range(0, len(frontier), chunk):
             pre = frontier[lo : lo + chunk][:, n_aut.rows].reshape(-1, n)
@@ -267,6 +274,10 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
             # ids from n_before on are new; they ascend in order of first appearance
             got_ids, first = np.unique(block[keep], return_index=True)
             fresh.append(pre[first[got_ids >= n_before]])
+            held = sum(b.nbytes for b in blocks + fresh) + sys.getsizeof(ids) + len(ids) * per_id
+            if held > MAX_WALK_BYTES:
+                raise BudgetExceeded("subset walk at layer %d holds %d states, about %d of %d MB"
+                                     % (layer, len(ids), held >> 20, MAX_WALK_BYTES >> 20))
         frontier = np.concatenate(fresh)
     table = np.concatenate(blocks).reshape(-1, n_letters)
     return PartialDfa(n_aut.field, n_aut.alphabet, len(ids), table)
@@ -296,8 +307,7 @@ def lazy_first_failure(n_aut: InterimAutomaton, word: Sequence[int]) -> Optional
     the word is accepted.  One gather a letter, O(q), and nothing is kept.
     """
     word = n_aut.alphabet.check_word(word)
-    rows = n_aut.rows
-    mask = n_aut.accepting_mask
+    rows, mask = n_aut.rows, n_aut.accepting_mask
     for pos, j in enumerate(word, 1):
         mask = mask[rows[j]]
         if not mask[0]:
@@ -315,50 +325,43 @@ def count_accepted(m_aut: PartialDfa, n: int) -> int:
     Every state of M accepts, so the count is met in the middle: it is the
     dot product of fwd, where fwd[s] counts the words of length i leading
     from the start to s, and bwd, where bwd[s] counts the words of length
-    n - i readable from s.  Both step over one pair of edge arrays: a
-    forward step adds each source's count into its targets, a backward
-    step each target's count into its sources.  With d the largest
-    out-degree, a forward step gives counts of at most sum(fwd) * d and a
-    backward step at most max(bwd) * d; the side with the smaller bound
-    steps next, in int64, while that bound stays below 2**63.  Once both
-    bounds reach 2**63 the remaining steps go forward in object arrays of
-    Python ints, which stay exact past 2**63.  The dot product is taken in
-    Python ints.
+    n - i readable from s.  Both step over the int32 edge targets in (state,
+    letter) order, 4 bytes an edge: a forward step adds each state's count
+    into its targets, a backward step gives each state the sum of its
+    targets' counts.  With d the largest out-degree, a forward step gives
+    counts of at most sum(fwd) * d and a backward step at most max(bwd) * d;
+    the side with the smaller bound steps next, in int64, while that bound
+    stays below 2**63.  Once both bounds reach 2**63 the remaining steps go
+    forward in object arrays of Python ints, which stay exact past 2**63.
+    The dot product is taken in Python ints.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
     table = m_aut.table
-    flat = np.flatnonzero(table >= 0)
-    src, tgt = flat // table.shape[1], table.ravel()[flat]
-    out_degree = int(np.bincount(src, minlength=1).max())
+    defined = table >= 0
+    degree = np.count_nonzero(defined, axis=1)
+    tgt = table.ravel().compress(defined.ravel())
+    out_degree = int(degree.max())
+    nonempty = degree > 0
+    starts = (np.cumsum(degree) - degree)[nonempty]
     fwd = np.zeros(m_aut.n_states, dtype=np.int64)
     fwd[m_aut.start] = 1
     bwd = np.ones(m_aut.n_states, dtype=np.int64)
-    steps = n
-    while steps:
+    for _ in range(n):
         fwd_bound = int(fwd.sum()) * out_degree
         bwd_bound = int(bwd.max()) * out_degree
-        if min(fwd_bound, bwd_bound) >= 2**63:
-            break
-        if fwd_bound <= bwd_bound:
-            fwd = _path_step(fwd, src, tgt)
+        if fwd.dtype != object and min(fwd_bound, bwd_bound) >= 2**63:
+            fwd = fwd.astype(object)
+        if fwd.dtype == object or fwd_bound <= bwd_bound:
+            nxt = np.zeros_like(fwd)
+            np.add.at(nxt, tgt, np.repeat(fwd, degree))
+            fwd = nxt
         else:
-            bwd = _path_step(bwd, tgt, src)
-        steps -= 1
-    if steps:
-        fwd = fwd.astype(object)
-    for _ in range(steps):
-        fwd = _path_step(fwd, src, tgt)
+            nxt = np.zeros_like(bwd)
+            nxt[nonempty] = np.add.reduceat(bwd[tgt], starts)
+            bwd = nxt
     both = (fwd != 0) & (bwd != 0)
     return sum(map(operator.mul, fwd[both].tolist(), bwd[both].tolist()))
-
-
-def _path_step(counts: np.ndarray, gather: np.ndarray, scatter: np.ndarray) -> np.ndarray:
-    """One path-counting step: counts[gather[e]] is added into entry
-    scatter[e] of a fresh vector, for every edge e."""
-    nxt = np.zeros_like(counts)
-    np.add.at(nxt, scatter, counts[gather])
-    return nxt
 
 
 def minimize(m_aut: PartialDfa) -> PartialDfa:
@@ -497,8 +500,9 @@ def automaton_from_json(text: str):
     """Inverse of to_json for both automaton kinds.
 
     State ids must be exactly 0..n-1 and each (state, letter) pair may be
-    listed once; an interim machine needs every pair, and every state of a
-    partial one must accept.
+    listed once; an interim machine needs every pair (its constructor
+    refuses the -1 a missing one leaves), and every state of a partial one
+    must accept.
     """
     doc = json.loads(text)
     kind = doc.get("type")
@@ -518,15 +522,10 @@ def automaton_from_json(text: str):
         if not all(st["accepting"] for st in states):
             raise ValueError("every state of a partial DFA accepts")
         return PartialDfa(field, alphabet, n, table, start=doc["start"])
-    if (table < 0).any():
-        missing = tuple(np.argwhere(table < 0)[0].tolist())
-        raise IndexOutOfRange("no transition for (state, letter) %r" % (missing,))
     nstates = [NState(st["kind"], None if st["value"] is None else parse(st["value"]))
                for st in states]
     accepting = [bool(st["accepting"]) for st in states]
-    return InterimAutomaton(
-        field, alphabet, nstates, accepting, table.T.tolist(), merged=doc.get("merged", False)
-    )
+    return InterimAutomaton(field, alphabet, nstates, accepting, table.T, doc.get("merged", False))
 
 
 def export(aut, fmt: str, trim: bool = False) -> str:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and "irreducible" verdicts), 1 reducible or not
 irreducible, 2 usage or parse errors, 3 not-decomposable or failed
-precondition, 4 search or output budget exceeded.
+precondition, 4 search, output or subset-walk budget exceeded.
 
 Words are written outermost letter first everywhere; --innermost-first
 only flips the printed order.

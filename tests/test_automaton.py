@@ -9,6 +9,7 @@ import pytest
 
 from quadcomp import (
     Alphabet,
+    BudgetExceeded,
     FieldElement,
     FiniteField,
     MonicQuad,
@@ -274,10 +275,37 @@ def test_json_round_trip():
     assert automaton_from_json(to_json(merged)) == merged
     n9 = build_interim(Alphabet.maximal(F9))
     assert automaton_from_json(to_json(n9)) == n9
+    merged9 = merge_dist_reg(n9)
+    assert automaton_from_json(to_json(merged9)) == merged9
     blob = json.loads(to_json(m))
     assert blob["type"] == "partial"
     assert all(s["accepting"] for s in blob["states"])
     assert blob["field"] == {"p": 5, "k": 1}
+
+
+def test_interim_automaton_stores_only_its_read_only_arrays():
+    n9 = build_interim(Alphabet.maximal(F9))
+    text = to_json(build_interim(Alphabet.maximal(F9)))  # to_json reads `accepting`
+    for aut in (n9, merge_dist_reg(n9), automaton_from_json(text)):
+        stored = vars(aut)
+        assert stored["rows"].dtype == np.intp
+        assert stored["rows"].shape == (9, aut.n_states)
+        assert stored["accepting_mask"].dtype == bool
+        assert "delta" not in stored and "accepting" not in stored
+        for arr in (aut.rows, aut.accepting_mask):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        assert aut.delta == tuple(tuple(row) for row in aut.rows.tolist())
+        assert {type(t) for row in aut.delta for t in row} == {int}
+        assert aut.accepting == tuple(aut.accepting_mask.tolist())
+        assert {type(acc) for acc in aut.accepting} == {bool}
+        assert "delta" in vars(aut) and "accepting" in vars(aut)
+    # the constructor copies: writing the caller's array leaves N as it was
+    rows = np.array(n9.rows)
+    copy = InterimAutomaton(n9.field, n9.alphabet, n9.states, n9.accepting_mask, rows)
+    rows[:] = 0
+    assert copy == n9
 
 
 def test_export_rejects_unknown_format():
@@ -375,6 +403,17 @@ def test_layer_walk_matches_queue_walk_across_chunks(monkeypatch):
         monkeypatch.setattr(automaton, "_GATHER_BYTES", gather_bytes)
         for n_aut in auts:
             assert_same_walk(n_aut)
+
+
+def test_subset_walk_refuses_past_its_byte_budget(monkeypatch):
+    n_aut = build_interim(Alphabet.maximal(FiniteField(29)))
+    m = reverse_subset_prune(n_aut)
+    assert m.table.nbytes > 1 << 20
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", 1 << 20)
+    with pytest.raises(BudgetExceeded, match=r"at layer \d+ holds \d+ states, about \d+ of 1 MB"):
+        reverse_subset_prune(n_aut)
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", 1 << 30)
+    assert reverse_subset_prune(n_aut) == m
 
 
 def test_count_accepted_is_exact_past_two_to_the_63():

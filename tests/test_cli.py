@@ -11,6 +11,7 @@ from quadcomp import (
     chain_irreducible,
     enumerate_irreducible_degree,
 )
+from quadcomp import automaton
 from quadcomp.cli import CliError, _parse_alphabet, _prime_power, main
 
 EX1 = "a=0 b=2;a=1 b=3"
@@ -350,6 +351,13 @@ def test_freedom_refuses_negative_counts(capsys):
         rc, out, err = run(capsys, "freedom", "--q", "5", *extra)
         assert (rc, out) == (2, []), extra
         assert err.startswith("error: "), extra
+
+
+def test_count_refuses_a_subset_walk_past_its_byte_budget(capsys, monkeypatch):
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", 1 << 20)
+    rc, out, err = run(capsys, "count", "--q", "29", "-n", "1")
+    assert rc == 4 and out == []
+    assert err.startswith("budget exceeded: subset walk at layer ")
 
 
 def test_enumerate_refuses_a_negative_budget(capsys):

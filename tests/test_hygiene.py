@@ -162,3 +162,34 @@ def test_every_public_member_is_read():
     }
     readme = (REPO / "README.md").read_text()
     assert unread_public_members(package, readers, readme) == {}
+
+
+def derived_views_read(source: str) -> list:
+    """(line, name) of every read of the attribute `delta` or `trans`, in
+    source order."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr in ("delta", "trans")
+    )
+
+
+def test_derived_view_reads_are_found():
+    # defining, writing or naming a view is not reading it
+    source = (
+        "class N:\n    def delta(self):\n        return self.rows\n"
+        "m.trans = {}\ndelta = n.rows\nt = n.delta[0][1]\nfor e in m.trans.items():\n    pass\n"
+    )
+    assert derived_views_read(source) == [(6, "delta"), (7, "trans")]
+
+
+def test_no_module_reads_a_derived_view():
+    # N's `delta` and M's `trans` are tuple and dict views derived from
+    # their arrays, kept for the tests and the benchmark; the package reads
+    # `rows` and `table`
+    found = {
+        str(path.relative_to(REPO)): derived_views_read(path.read_text())
+        for path in sorted((REPO / "src").rglob("*.py"))
+    }
+    assert {name: reads for name, reads in found.items() if reads} == {}
