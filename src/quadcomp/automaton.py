@@ -29,7 +29,8 @@ from .errors import BudgetExceeded, IndexOutOfRange, UnsupportedFormat
 from .finite_field import FieldElement, FiniteField
 from .monoid import Alphabet, MonicQuad
 
-# reverse_subset_prune gathers at most this many bytes of preimages at once
+# reverse_subset_prune and extend_frontier gather at most this many bytes
+# of preimages at once
 _GATHER_BYTES = 1 << 24
 
 # N has 2q + 1 states and one row of 2q + 1 targets per letter, so the
@@ -39,11 +40,12 @@ _GATHER_BYTES = 1 << 24
 MAX_INTERIM_Q = 1 << 10
 
 # reverse_subset_prune refuses to hold more than this many bytes of M's
-# table, subset ids and next frontier.  For the maximal alphabet, M has
-# 651,985 states at q = 41 and 2,038,570 at q = 43, about 3.5 times more per
-# prime.  The q = 43 walk peaked at 1,046 MB RSS (2-core x86-64, Python
-# 3.11), and its estimate at 562 MB; q = 53 passes 1 GiB at layer 5, with
-# 4.9 M states, after 18 s.
+# table (twice, for the copy that joins its blocks), subset ids and next
+# frontier; extend_frontier refuses a level whose words and rows pass it.
+# For the maximal alphabet, M has 651,985 states at q = 41 and 2,038,570 at
+# q = 43, about 3.5 times more per prime.  The q = 43 walk peaked at
+# 1,021 MB RSS (2-core x86-64, Python 3.11), and its estimate at 897 MB;
+# q = 53 passes 1 GiB at layer 5, with 4.7 M states, after 14 s.
 MAX_WALK_BYTES = 1 << 30
 
 
@@ -274,7 +276,9 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
             # ids from n_before on are new; they ascend in order of first appearance
             got_ids, first = np.unique(block[keep], return_index=True)
             fresh.append(pre[first[got_ids >= n_before]])
-            held = sum(b.nbytes for b in blocks + fresh) + sys.getsizeof(ids) + len(ids) * per_id
+            # the blocks count twice: joining them copies M's whole table
+            held = (2 * sum(b.nbytes for b in blocks) + sum(f.nbytes for f in fresh)
+                    + sys.getsizeof(ids) + len(ids) * per_id)
             if held > MAX_WALK_BYTES:
                 raise BudgetExceeded("subset walk at layer %d holds %d states, about %d of %d MB"
                                      % (layer, len(ids), held >> 20, MAX_WALK_BYTES >> 20))

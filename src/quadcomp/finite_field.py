@@ -9,7 +9,6 @@ are immutable.
 
 from __future__ import annotations
 
-from itertools import product as _iproduct
 from operator import mul
 from typing import Iterator
 
@@ -55,49 +54,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _trial_remainder(num: list, den: list, p: int) -> bool:
-    """True iff the monic polynomial den divides num over F_p (int lists)."""
-    num = list(num)
-    dn = len(den) - 1
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] % p
-        if c:
-            for j in range(dn + 1):
-                num[i - dn + j] = (num[i - dn + j] - c * den[j]) % p
-    return all(c % p == 0 for c in num[:dn])
-
-
-def _is_irreducible_trial(f: list, p: int) -> bool:
-    """Trial division by every lower-degree monic polynomial."""
-    k = len(f) - 1
-    for e in range(1, k // 2 + 1):
-        for tail in _iproduct(range(p), repeat=e):
-            den = list(tail) + [1]
-            if _trial_remainder(f, den, p):
-                return False
-    return True
-
-
 def _smallest_irreducible(p: int, k: int) -> tuple:
-    for tail in _iproduct(range(p), repeat=k):
-        f = list(tail) + [1]
-        if _is_irreducible_trial(f, p):
-            return tuple(f)
+    """The lexicographically smallest monic irreducible of degree k over
+    F_p, coefficients low degree first, and the reduction rows: the
+    coordinates of t^k, ..., t^(2k-2) in the power basis."""
+    from .polynomial import Poly, rabin_is_irreducible  # polynomial imports this module
+
+    prime = FiniteField(p)
+    # tails (c_0, ..., c_(k-1)) in lexicographic order are the base-p digits
+    # of n, c_0 most significant; x divides every tail with c_0 = 0
+    for n in range(p ** (k - 1), p ** k):
+        tail = [n // p ** (k - 1 - i) % p for i in range(k)]
+        modulus = Poly(prime, tail + [1], raw=True)
+        if rabin_is_irreducible(modulus):
+            x = Poly.x(prime)
+            rows = [(x ** j % modulus).vals for j in range(k, 2 * k - 1)]
+            return modulus.vals, tuple(r + (0,) * (k - len(r)) for r in rows)
     raise AssertionError("no irreducible polynomial found")  # cannot happen
-
-
-def _reduction_rows(modulus: tuple, p: int) -> tuple:
-    """Coordinates of t^k, ..., t^(2k-2) in the power basis."""
-    k = len(modulus) - 1
-    base = tuple((-c) % p for c in modulus[:k])
-    rows = [base]
-    cur = base
-    for _ in range(k - 2):
-        top = cur[k - 1]
-        shifted = (0,) + cur[: k - 1]
-        cur = tuple((shifted[i] + top * base[i]) % p for i in range(k))
-        rows.append(cur)
-    return tuple(rows)
 
 
 class FiniteField:
@@ -123,8 +96,7 @@ class FiniteField:
             self.zero_raw = 0
             self.one_raw = 1
         else:
-            self.modulus = _smallest_irreducible(p, k)
-            self._red = _reduction_rows(self.modulus, p)
+            self.modulus, self._red = _smallest_irreducible(p, k)
             self.zero_raw = (0,) * k
             self.one_raw = (1,) + (0,) * (k - 1)
         self._squares = None

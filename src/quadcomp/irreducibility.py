@@ -17,6 +17,7 @@ closed).
 from __future__ import annotations
 
 import gc
+import sys
 import warnings
 from dataclasses import dataclass
 from operator import mul
@@ -24,8 +25,10 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import automaton
 from .automaton import InterimAutomaton, build_interim
 from .errors import (
+    BudgetExceeded,
     DegreeTooSmall,
     EmptyWord,
     FreedomNotCertified,
@@ -146,21 +149,40 @@ def chain_irreducible(word: Sequence[int], alphabet: Alphabet) -> ChainReport:
 
 
 def extend_frontier(n_aut: InterimAutomaton, frontier: Frontier) -> Frontier:
-    """Append every viable letter to every (word, resume-state) pair; one
-    gather takes every resume state's preimages, as for a layer of M."""
-    masks = np.array([mask for _, mask in frontier], dtype=bool).reshape(-1, n_aut.n_states)
-    pre = masks[:, n_aut.rows]  # (F, letters, n)
-    word_ids, letters = np.nonzero(pre[:, :, 0])
+    """Append every viable letter to every (word, resume-state) pair.
+
+    The resume states' preimages are gathered as for a layer of M, at most
+    automaton._GATHER_BYTES at once.  A letter is viable iff its preimage
+    holds N's initial state, so the new level's words are counted first
+    from that one column; a level whose words and rows would pass
+    automaton.MAX_WALK_BYTES raises BudgetExceeded before any is built.
+    """
+    n, rows = n_aut.n_states, n_aut.rows
+    masks = np.array([mask for _, mask in frontier], dtype=bool).reshape(-1, n)
+    n_words = int(np.count_nonzero(masks[:, rows[:, 0]]))
+    if n_words:
+        level = len(frontier[0][0]) + 1
+        # a row's n bytes, its view, its word and the (word, row) pair in a list slot
+        per_word = n + sys.getsizeof(masks[0]) + sys.getsizeof((0,) * level) + 64
+        if n_words * per_word > automaton.MAX_WALK_BYTES:
+            raise BudgetExceeded("level %d holds %d words, about %d of %d MB" % (
+                level, n_words, (n_words * per_word) >> 20, automaton.MAX_WALK_BYTES >> 20))
+    chunk = max(1, automaton._GATHER_BYTES // rows.size)
+    out: Frontier = []
     # The new pairs cannot form cycles.  Left on, the cycle collector runs
     # after every few hundred of them and now and then rescans every live
     # object, so a level's cost grew faster than its size.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return [
-            (frontier[i][0] + (j,), row)
-            for i, j, row in zip(word_ids.tolist(), letters.tolist(), pre[word_ids, letters])
-        ]
+        for lo in range(0, len(masks), chunk):
+            pre = masks[lo : lo + chunk][:, rows]  # (chunk, letters, n)
+            word_ids, letters = np.nonzero(pre[:, :, 0])
+            out += [
+                (frontier[lo + i][0] + (j,), row)
+                for i, j, row in zip(word_ids.tolist(), letters.tolist(), pre[word_ids, letters])
+            ]
+        return out
     finally:
         if enabled:
             gc.enable()

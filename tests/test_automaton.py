@@ -416,6 +416,22 @@ def test_subset_walk_refuses_past_its_byte_budget(monkeypatch):
     assert reverse_subset_prune(n_aut) == m
 
 
+def test_subset_walk_counts_the_copy_that_joins_its_table(monkeypatch):
+    # every letter over F_13: M's 821 states take 169 table entries each, and
+    # their ids about a sixth of that, so the walk holds well under 1.5 tables
+    # until joining the blocks copies the table once more
+    field = FiniteField(13)
+    raws = list(field.iter_raw())
+    letters = [MonicQuad(field.elem(a), field.elem(b)) for a in raws for b in raws]
+    n_aut = build_interim(Alphabet(field, letters))
+    m = reverse_subset_prune(n_aut)
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", m.table.nbytes * 3 // 2)
+    with pytest.raises(BudgetExceeded, match="subset walk at layer"):
+        reverse_subset_prune(n_aut)
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", m.table.nbytes * 3)
+    assert reverse_subset_prune(n_aut) == m
+
+
 def test_count_accepted_is_exact_past_two_to_the_63():
     field = FiniteField(29)
     loops = PartialDfa(field, Alphabet.maximal(field), 1, {(0, j): 0 for j in range(29)})

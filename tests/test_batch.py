@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from quadcomp import (
+    IRREDUCIBLE,
+    REDUCIBLE,
     Alphabet,
     FiniteField,
     MonicQuad,
@@ -20,6 +22,7 @@ from quadcomp import (
     rabin_is_irreducible,
     reverse_subset_prune,
 )
+from quadcomp import test_decomposable as decomposable_verdict
 from quadcomp._batch import _Modulus, _embed, from_polys, to_poly
 
 F3 = FiniteField(3)
@@ -210,6 +213,55 @@ def test_chain_certified_irreducibles_at_large_p():
     got = rabin_irreducible_2power(field, from_polys(field, polys))
     assert got[:20].all()
     assert not got[20:].any()
+
+
+def chained_letters(field, rng, length, witness):
+    """Random letters whose chain is irreducible (witness None) or first
+    fails at the 1-based index `witness`."""
+    letters = []
+    while len(letters) < length:
+        quad = MonicQuad(*[field.elem([rng.randrange(field.p) for _ in range(field.k)])
+                           for _ in range(2)])
+        at = len(letters) + 1
+        if witness is not None and at > witness:
+            letters.append(quad)  # the chain has failed already
+        elif letter_chain(letters + [quad]).irreducible == (at != witness):
+            letters.append(quad)
+    return letters
+
+
+def scalar_verdicts(field, rng, length, witnesses):
+    """Compositions of chained letters, each checked by the chain criterion,
+    decomposition and scalar Rabin."""
+    polys = []
+    for witness in witnesses:
+        letters = chained_letters(field, rng, length, witness)
+        assert letter_chain(letters).witness == witness
+        poly = pi(tuple(range(length)), Alphabet(field, letters))
+        status = IRREDUCIBLE if witness is None else REDUCIBLE
+        assert decomposable_verdict(poly).status == status, witness
+        assert rabin_is_irreducible(poly) == (witness is None), witness
+        polys.append(poly)
+    return polys
+
+
+def test_four_oracles_agree_over_a_large_degree_2_extension():
+    """Over F_{1,000,003^2} the modulus is x^2 + 1, so the batched kernel
+    applies; at d = 16 its products stay below 16 * 2 * 500001^2 < 2^52."""
+    field = FiniteField(1_000_003, 2)
+    assert field.modulus == (1, 0, 1)
+    assert 16 * 2 * ((field.p - 1) // 2) ** 2 < 2 ** 52
+    witnesses = [None] * 4 + [1, 2, 3, 4]
+    polys = scalar_verdicts(field, random.Random(16), 4, witnesses)
+    got = rabin_irreducible_2power(field, from_polys(field, polys))
+    assert got.tolist() == [w is None for w in witnesses]
+
+
+def test_three_oracles_agree_over_a_large_degree_3_extension():
+    field = FiniteField(1_000_003, 3)
+    polys = scalar_verdicts(field, random.Random(8), 3, [None] * 3 + [1, 2, 3])
+    with pytest.raises(ValueError, match="batched kernels support"):
+        from_polys(field, polys)
 
 
 def test_degree_1024_in_linear_memory():

@@ -360,6 +360,20 @@ def test_count_refuses_a_subset_walk_past_its_byte_budget(capsys, monkeypatch):
     assert err.startswith("budget exceeded: subset walk at layer ")
 
 
+def test_enumerate_refuses_a_level_past_the_byte_budget(capsys, monkeypatch):
+    # level 4 holds 48,426 words, well under the output budget
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", 1 << 20)
+    rc, out, err = run(capsys, "enumerate", "--q", "29", "-n", "6", "--words")
+    assert rc == 4 and out == []
+    assert err.startswith("budget exceeded: level ")
+
+
+def test_test_over_a_large_extension_field(capsys):
+    # q = 100003^2; x^2 + 1 splits, as -1 is a square in every F_{p^2}
+    rc, out, _ = run(capsys, "test", "--q", "10000600009", "--poly", "[1,0],[0,0],[1,0]")
+    assert (rc, out) == (1, ["Reducible (witness index 1)"])
+
+
 def test_enumerate_refuses_a_negative_budget(capsys):
     rc, out, err = run(capsys, "enumerate", "--q", "5", "--alphabet", "b=1;b=2",
                        "-n", "2", "--budget", "-1")

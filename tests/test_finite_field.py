@@ -1,8 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
-from quadcomp import FieldElement, FiniteField, NotOddPrime, InvalidDegree, is_prime
+from quadcomp import FieldElement, FiniteField, NotOddPrime, InvalidDegree, Poly, is_prime
 
 
 def test_is_prime():
@@ -38,6 +39,54 @@ def test_f25_f27_f49_moduli():
     assert FiniteField(5, 2).modulus == (1, 1, 1)  # x^2 + x + 1
     assert FiniteField(3, 3).modulus == (1, 0, 2, 1)  # x^3 + 2x^2 + 1
     assert FiniteField(7, 2).modulus == (1, 0, 1)  # x^2 + 1; -1 nonsquare mod 7
+
+
+# (modulus, reduction rows) as trial division by every monic polynomial of
+# degree <= k/2 chose them; the Rabin search must find the same
+PINNED = {
+    (3, 4): ((1, 0, 1, 1, 1), ((2, 0, 2, 2), (1, 2, 1, 0), (0, 1, 2, 1))),
+    (3, 5): ((1, 0, 0, 0, 2, 1),
+             ((2, 0, 0, 0, 1), (2, 2, 0, 0, 1), (2, 2, 2, 0, 1), (2, 2, 2, 2, 1))),
+    (7, 3): ((1, 0, 1, 1), ((6, 0, 6), (1, 6, 1))),
+    (101, 4): ((1, 0, 0, 1, 1), ((100, 0, 0, 100), (1, 100, 0, 1), (100, 1, 100, 100))),
+}
+
+
+def test_pinned_moduli_and_reduction_rows():
+    for (p, k), want in PINNED.items():
+        field = FiniteField(p, k)
+        assert (field.modulus, field._red) == want, (p, k)
+
+
+def test_modulus_is_the_first_candidate_without_a_small_factor():
+    # every candidate before the modulus, in lexicographic order low degree
+    # first, has a monic factor of degree <= k/2, and the modulus has none
+    for p in (3, 5, 7):
+        prime = FiniteField(p)
+        for k in (2, 3, 4):
+            modulus = FiniteField(p, k).modulus
+            divisors = [Poly(prime, tail + (1,))
+                        for e in range(1, k // 2 + 1) for tail in product(range(p), repeat=e)]
+            for tail in product(range(p), repeat=k):
+                f = Poly(prime, tail + (1,))
+                has_factor = any(divmod(f, g)[1].is_zero for g in divisors)
+                if tail + (1,) == modulus:
+                    assert not has_factor, (p, k)
+                    break
+                assert has_factor, (p, k, tail)
+
+
+def test_large_characteristic_fields_build():
+    # -1 is a nonsquare mod p = 3 mod 4, so x^2 + 1 comes first
+    field = FiniteField(1_000_003, 2)
+    assert field.modulus == (1, 0, 1)
+    assert field._red == ((1_000_002, 0),)
+    # t^q = t, and t lies in no proper subfield, when the modulus is irreducible
+    for p, k in ((100_003, 2), (1_000_003, 3), (2 ** 31 - 1, 5)):
+        field = FiniteField(p, k)
+        assert len(field.modulus) == k + 1 and field.modulus[0] != 0
+        t = field.raw_from_index(p)
+        assert field.rpow(t, field.q) == t != field.rpow(t, p ** (k - 1))
 
 
 def field_axioms(field):
@@ -98,7 +147,9 @@ def test_pow_and_inverse():
     x = field.elem(3)
     assert x ** 0 == field.one
     assert x ** 6 == field.one  # Fermat
-    assert x ** -1 == x.inverse()
+    assert x ** -1 == x.inverse() == 1 / x
+    assert x / x == 1 and x * (2 / x) == 2 and x / 3 == field.one
+    assert x == 3 and x == 10 and x != 4
     assert (x ** 2) * (x ** 3) == x ** 5
     with pytest.raises(ZeroDivisionError):
         field.zero.inverse()
@@ -112,6 +163,7 @@ def test_extension_power_basis_arithmetic():
     assert x * x == field.elem((1 - 4, 4))  # (1+2t)^2 = 1 + 4t + 4t^2 = -3 + 4t
     # Frobenius: x^3 is the conjugate 1 - 2t
     assert x ** 3 == field.elem((1, 1))
+    assert 1 / t == -t and (x / t) * t == x and t != 1 and field.elem(2) == -1
 
 
 def test_element_indexing_round_trip():

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 from itertools import product
 
@@ -6,6 +7,7 @@ import pytest
 
 from quadcomp import (
     Alphabet,
+    BudgetExceeded,
     CanonicalChain,
     ChainReport,
     EmptyWord,
@@ -36,6 +38,7 @@ from quadcomp import (
     pi,
     rabin_is_irreducible,
 )
+from quadcomp import automaton
 from quadcomp import test_decomposable as decomposable_verdict
 
 F3 = FiniteField(3)
@@ -221,6 +224,37 @@ def test_extend_frontier_steps_one_level():
     assert [w for w, _ in level1] == [(0,), (1,)]
     level2 = extend_frontier(n_aut, level1)
     assert [w for w, _ in level2] == [(0, 0), (0, 1), (1, 1)]
+
+
+def test_extend_frontier_is_the_same_across_chunks(monkeypatch):
+    # a chunk of 1 byte gathers one word's preimages at a time, one of
+    # 1000 bytes those of 9 words (7 letters, 15 states)
+    n_aut = build_interim(Alphabet.maximal(F7))
+    levels = [[((), n_aut.accepting_mask)]]
+    for gather_bytes in (None, 1, 1000):
+        if gather_bytes:
+            monkeypatch.setattr(automaton, "_GATHER_BYTES", gather_bytes)
+        frontier = levels[0]
+        for n in range(1, 5):
+            frontier = extend_frontier(n_aut, frontier)
+            if gather_bytes is None:
+                levels.append(frontier)
+            else:
+                assert [w for w, _ in frontier] == [w for w, _ in levels[n]]
+                assert all((a == b).all() for (_, a), (_, b) in zip(frontier, levels[n]))
+    assert len(levels[4]) > 100
+
+
+def test_iter_levels_refuses_a_level_past_the_byte_budget(monkeypatch):
+    alph = Alphabet.maximal(FiniteField(29))
+    sizes = [len(frontier) for _, frontier in iter_levels(alph, 4)]
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", 1 << 20)
+    seen = []
+    with pytest.raises(BudgetExceeded, match=r"level \d+ holds \d+ words, about \d+ of 1 MB") as exc:
+        for _, frontier in iter_levels(alph, 4):
+            seen.append(len(frontier))
+    level, words = map(int, re.search(r"level (\d+) holds (\d+)", str(exc.value)).groups())
+    assert seen == sizes[: level - 1] and words == sizes[level - 1]
 
 
 def test_freedom_warning_on_uncertified_alphabet():

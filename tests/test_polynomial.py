@@ -41,6 +41,7 @@ def test_arithmetic_frozen_examples():
     assert (f + g).csv() == "4,0,2"
     assert (f * g).csv() == "3,3,1,3"
     assert (f - f).is_zero
+    assert (-f).csv() == "2,4,3" and (f + -f).is_zero
 
 
 def test_divmod_and_mod():
@@ -48,6 +49,7 @@ def test_divmod_and_mod():
     g = Poly.parse(F5, "3,0,1")  # x^2 - 2
     q, r = divmod(f, g)
     assert q * g + r == f
+    assert f // g == q
     assert r.degree < g.degree
     # x^5 mod (x^2 - 2) = 4x
     assert (Poly.parse(F5, "0,0,0,0,0,1") % g).csv() == "0,4"
