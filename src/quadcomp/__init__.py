@@ -19,6 +19,7 @@ from .automaton import (
     canonical_form,
     count_accepted,
     export,
+    extend_frontier,
     isomorphic,
     lazy_accepts,
     lazy_first_failure,
@@ -59,7 +60,6 @@ from .irreducibility import (
     decompose_quadratic_outer,
     enumerate_irreducible_degree,
     enumerate_level,
-    extend_frontier,
     full_decompose,
     iter_levels,
     letter_chain,

@@ -10,18 +10,19 @@ reverse_subset_prune reverses N's arrows, determinizes by the subset
 construction from the set of N's accepting states, and keeps only subsets
 containing N's initial state.  The result is a partial DFA M, all of
 whose states are accepting, that accepts exactly the words whose
-composition is irreducible.  lazy_accepts runs the same subset simulation
-word by word without materializing M.
+composition is irreducible.  lazy_accepts and extend_frontier run the same
+subset simulation, by word and by level, without materializing M.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +30,7 @@ from .errors import BudgetExceeded, IndexOutOfRange, UnsupportedFormat
 from .finite_field import FieldElement, FiniteField
 from .monoid import Alphabet, MonicQuad
 
-# reverse_subset_prune and extend_frontier gather at most this many bytes
-# of preimages at once
+# _preimage_ids gathers at most this many bytes of preimages at once
 _GATHER_BYTES = 1 << 24
 
 # N has 2q + 1 states and one row of 2q + 1 targets per letter, so the
@@ -41,12 +41,17 @@ MAX_INTERIM_Q = 1 << 10
 
 # reverse_subset_prune refuses to hold more than this many bytes of M's
 # table (twice, for the copy that joins its blocks), subset ids and next
-# frontier; extend_frontier refuses a level whose words and rows pass it.
+# frontier; extend_frontier refuses a level whose word tuples and pairs
+# pass it, as the words share their rows.
 # For the maximal alphabet, M has 651,985 states at q = 41 and 2,038,570 at
 # q = 43, about 3.5 times more per prime.  The q = 43 walk peaked at
 # 1,021 MB RSS (2-core x86-64, Python 3.11), and its estimate at 897 MB;
 # q = 53 passes 1 GiB at layer 5, with 4.7 M states, after 14 s.
 MAX_WALK_BYTES = 1 << 30
+
+# (word, resume state): the resume state is the bool row over N's states
+# that lazy_first_failure holds after reading the word
+Frontier = List[Tuple[Tuple[int, ...], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -245,17 +250,11 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     N's accepting states; a subset accepts iff it contains N's initial
     state, and only accepting subsets are kept.
 
-    Each BFS layer is one numpy pass: the layer's subsets are rows of an
-    (F, n) bool array, and frontier[:, rows] takes the preimages under
-    every letter at once.  Rows are packed into hashable byte keys, and one
-    dict numbers the subsets in order of first appearance, the order a
-    queue-driven walk discovers them in.  Each chunk writes its own block
-    of M's transition table.  After each chunk the walk estimates the bytes
-    it holds, and past MAX_WALK_BYTES it raises BudgetExceeded.
+    Each BFS layer, an (F, n) bool array, takes one pass of _preimage_ids,
+    which numbers subsets in the order a queue-driven walk meets them.  Each
+    chunk writes a block of M's table; past MAX_WALK_BYTES of table, ids and
+    next layer, estimated after each chunk, the walk raises BudgetExceeded.
     """
-    n = n_aut.n_states
-    n_letters = len(n_aut.alphabet)
-    chunk = max(1, _GATHER_BYTES // (n_letters * n))
     frontier = n_aut.accepting_mask[None, :]
     ids = {_pack(frontier).item(): 0}
     # besides its dict slot, each id holds its bytes key and an int (32 bytes past 2**30)
@@ -265,17 +264,9 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     while len(frontier):
         layer += 1
         fresh = []
-        for lo in range(0, len(frontier), chunk):
-            pre = frontier[lo : lo + chunk][:, n_aut.rows].reshape(-1, n)
-            keep = pre[:, 0]  # the preimage holds N's initial state
-            pre = pre[keep]
-            n_before = len(ids)
-            block = np.full(len(keep), -1, dtype=np.int32)
-            block[keep] = [ids.setdefault(key, len(ids)) for key in _pack(pre).tolist()]
+        for block, new_rows in _preimage_ids(n_aut, frontier, ids):
             blocks.append(block)
-            # ids from n_before on are new; they ascend in order of first appearance
-            got_ids, first = np.unique(block[keep], return_index=True)
-            fresh.append(pre[first[got_ids >= n_before]])
+            fresh.append(new_rows)
             # the blocks count twice: joining them copies M's whole table
             held = (2 * sum(b.nbytes for b in blocks) + sum(f.nbytes for f in fresh)
                     + sys.getsizeof(ids) + len(ids) * per_id)
@@ -283,8 +274,61 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
                 raise BudgetExceeded("subset walk at layer %d holds %d states, about %d of %d MB"
                                      % (layer, len(ids), held >> 20, MAX_WALK_BYTES >> 20))
         frontier = np.concatenate(fresh)
-    table = np.concatenate(blocks).reshape(-1, n_letters)
+    table = np.concatenate(blocks).reshape(-1, len(n_aut.alphabet))
     return PartialDfa(n_aut.field, n_aut.alphabet, len(ids), table)
+
+
+def _preimage_ids(n_aut: InterimAutomaton, frontier: np.ndarray, ids: dict):
+    """Number the preimages of `frontier`'s rows under every letter that hold
+    N's initial state through the dict `ids`, in order of first appearance,
+    gathering at most _GATHER_BYTES at once.  Yields per chunk its ids in (row, letter) order,
+    -1 for the other preimages, and the preimages it numbered first."""
+    chunk = max(1, _GATHER_BYTES // n_aut.rows.size)
+    for lo in range(0, len(frontier), chunk):
+        pre = frontier[lo : lo + chunk][:, n_aut.rows].reshape(-1, n_aut.n_states)
+        keep = pre[:, 0]  # the preimage holds N's initial state
+        pre = pre[keep]
+        n_before = len(ids)
+        block = np.full(len(keep), -1, dtype=np.int32)
+        block[keep] = [ids.setdefault(key, len(ids)) for key in _pack(pre).tolist()]
+        # ids from n_before on are new; they ascend in order of first appearance
+        got_ids, first = np.unique(block[keep], return_index=True)
+        yield block, pre[first[got_ids >= n_before]]
+
+
+def extend_frontier(n_aut: InterimAutomaton, frontier: Frontier) -> Frontier:
+    """Append every viable letter to every (word, resume-state) pair.
+
+    The level's distinct rows, told apart by identity, take the subset walk's
+    step once, and the new words share its read-only rows; a level whose
+    words would pass MAX_WALK_BYTES raises BudgetExceeded before any is built."""
+    if not frontier:
+        return []
+    resume = {id(mask): mask for _, mask in frontier}  # in order of first appearance
+    blocks, fresh = zip(*_preimage_ids(n_aut, np.array(list(resume.values())), {}))
+    stepped = np.concatenate(fresh)
+    stepped.setflags(write=False)
+    shared = list(stepped)  # one read-only view per distinct new row
+    table = np.concatenate(blocks).reshape(len(resume), -1).tolist()
+    succ = {key: [(j, shared[t]) for j, t in enumerate(targets) if t >= 0]
+            for key, targets in zip(resume, table)}
+    n_words = sum(len(succ[id(mask)]) for _, mask in frontier)
+    level = len(frontier[0][0]) + 1
+    # a word's tuple, its (word, row) pair and its list slot; the rows are shared
+    held = n_words * (sys.getsizeof((0,) * level) + sys.getsizeof((0, 0)) + 8)
+    if held > MAX_WALK_BYTES:
+        raise BudgetExceeded("level %d holds %d words, about %d of %d MB"
+                             % (level, n_words, held >> 20, MAX_WALK_BYTES >> 20))
+    # The new pairs cannot form cycles.  Left on, the cycle collector runs
+    # after every few hundred of them and now and then rescans every live
+    # object, so a level's cost grew faster than its size.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return [(word + (j,), row) for word, mask in frontier for j, row in succ[id(mask)]]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
@@ -506,30 +550,37 @@ def automaton_from_json(text: str):
     State ids must be exactly 0..n-1 and each (state, letter) pair may be
     listed once; an interim machine needs every pair (its constructor
     refuses the -1 a missing one leaves), and every state of a partial one
-    must accept.
+    must accept.  A document that is not an object, lacks a key or holds an
+    entry of the wrong type raises UnsupportedFormat.
     """
     doc = json.loads(text)
-    kind = doc.get("type")
-    if kind not in ("interim", "partial"):
-        raise UnsupportedFormat("unknown automaton type %r" % (kind,))
-    field = FiniteField(doc["field"]["p"], doc["field"]["k"])
-    parse = field.parse_element
-    quads = [MonicQuad(parse(it["a"]), parse(it["b"])) for it in doc["alphabet"]]
-    alphabet = Alphabet(field, quads)
-    states = sorted(doc["states"], key=lambda st: st["id"])
-    n = len(states)
-    if [st["id"] for st in states] != list(range(n)):
-        raise IndexOutOfRange("state ids must be exactly 0..%d" % (n - 1))
-    edges = ((t["from"], t["letter"], t["to"]) for t in doc["transitions"])
-    table = _table_from_edges(edges, (n, len(alphabet)))
-    if kind == "partial":
-        if not all(st["accepting"] for st in states):
-            raise ValueError("every state of a partial DFA accepts")
-        return PartialDfa(field, alphabet, n, table, start=doc["start"])
-    nstates = [NState(st["kind"], None if st["value"] is None else parse(st["value"]))
-               for st in states]
-    accepting = [bool(st["accepting"]) for st in states]
-    return InterimAutomaton(field, alphabet, nstates, accepting, table.T, doc.get("merged", False))
+    try:
+        kind = doc.get("type")
+        if kind not in ("interim", "partial"):
+            raise UnsupportedFormat("unknown automaton type %r" % (kind,))
+        field = FiniteField(doc["field"]["p"], doc["field"]["k"])
+        parse = field.parse_element
+        quads = [MonicQuad(parse(it["a"]), parse(it["b"])) for it in doc["alphabet"]]
+        alphabet = Alphabet(field, quads)
+        states = sorted(doc["states"], key=lambda st: st["id"])
+        n = len(states)
+        if [st["id"] for st in states] != list(range(n)):
+            raise IndexOutOfRange("state ids must be exactly 0..%d" % (n - 1))
+        edges = ((t["from"], t["letter"], t["to"]) for t in doc["transitions"])
+        table = _table_from_edges(edges, (n, len(alphabet)))
+        if kind == "partial":
+            if not all(st["accepting"] for st in states):
+                raise ValueError("every state of a partial DFA accepts")
+            return PartialDfa(field, alphabet, n, table, start=doc["start"])
+        nstates = [NState(st["kind"], None if st["value"] is None else parse(st["value"]))
+                   for st in states]
+        accepting = [bool(st["accepting"]) for st in states]
+        return InterimAutomaton(field, alphabet, nstates, accepting, table.T,
+                                doc.get("merged", False))
+    except (KeyError, TypeError, AttributeError) as exc:
+        # a document that is a list, say, has no .get
+        what = "no key %s" % exc if isinstance(exc, KeyError) else exc
+        raise UnsupportedFormat("malformed automaton document: %s" % what) from exc
 
 
 def export(aut, fmt: str, trim: bool = False) -> str:

@@ -16,19 +16,13 @@ closed).
 
 from __future__ import annotations
 
-import gc
-import sys
 import warnings
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import automaton
-from .automaton import InterimAutomaton, build_interim
+from .automaton import Frontier, build_interim, extend_frontier
 from .errors import (
-    BudgetExceeded,
     DegreeTooSmall,
     EmptyWord,
     FreedomNotCertified,
@@ -44,10 +38,6 @@ from .polynomial import Poly, _mul_raw
 IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
 NOT_DECOMPOSABLE = "not-decomposable"
-
-# (word, resume state): the resume state is the bool row over N's states
-# that lazy_first_failure holds after reading the word
-Frontier = List[Tuple[Tuple[int, ...], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -146,46 +136,6 @@ def chain_irreducible(word: Sequence[int], alphabet: Alphabet) -> ChainReport:
     if not word:
         raise EmptyWord("the chain criterion needs a nonempty word")
     return _chain_report(alphabet.field, map(alphabet.pairs.__getitem__, word))
-
-
-def extend_frontier(n_aut: InterimAutomaton, frontier: Frontier) -> Frontier:
-    """Append every viable letter to every (word, resume-state) pair.
-
-    The resume states' preimages are gathered as for a layer of M, at most
-    automaton._GATHER_BYTES at once.  A letter is viable iff its preimage
-    holds N's initial state, so the new level's words are counted first
-    from that one column; a level whose words and rows would pass
-    automaton.MAX_WALK_BYTES raises BudgetExceeded before any is built.
-    """
-    n, rows = n_aut.n_states, n_aut.rows
-    masks = np.array([mask for _, mask in frontier], dtype=bool).reshape(-1, n)
-    n_words = int(np.count_nonzero(masks[:, rows[:, 0]]))
-    if n_words:
-        level = len(frontier[0][0]) + 1
-        # a row's n bytes, its view, its word and the (word, row) pair in a list slot
-        per_word = n + sys.getsizeof(masks[0]) + sys.getsizeof((0,) * level) + 64
-        if n_words * per_word > automaton.MAX_WALK_BYTES:
-            raise BudgetExceeded("level %d holds %d words, about %d of %d MB" % (
-                level, n_words, (n_words * per_word) >> 20, automaton.MAX_WALK_BYTES >> 20))
-    chunk = max(1, automaton._GATHER_BYTES // rows.size)
-    out: Frontier = []
-    # The new pairs cannot form cycles.  Left on, the cycle collector runs
-    # after every few hundred of them and now and then rescans every live
-    # object, so a level's cost grew faster than its size.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for lo in range(0, len(masks), chunk):
-            pre = masks[lo : lo + chunk][:, rows]  # (chunk, letters, n)
-            word_ids, letters = np.nonzero(pre[:, :, 0])
-            out += [
-                (frontier[lo + i][0] + (j,), row)
-                for i, j, row in zip(word_ids.tolist(), letters.tolist(), pre[word_ids, letters])
-            ]
-        return out
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _warn_unless_free(alphabet: Alphabet, assume_free: bool) -> None:

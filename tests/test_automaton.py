@@ -631,6 +631,23 @@ def test_json_with_an_out_of_range_target_is_refused():
     blob["states"][1]["accepting"] = False
     with pytest.raises(ValueError):
         automaton_from_json(json.dumps(blob))
+    # documents that are not an object, lack a key or hold an entry of the wrong type
+    malformed = [([], "'list' object"), ("M", "'str' object")]
+    for aut in (n_aut, reverse_subset_prune(n_aut)):
+        keys = ("field", "alphabet", "states", "transitions")
+        for key in keys + (("start",) if isinstance(aut, PartialDfa) else ()):
+            blob = json.loads(to_json(aut))
+            del blob[key]
+            malformed.append((blob, "no key '%s'" % key))
+        blob = json.loads(to_json(aut))
+        del blob["states"][1]["accepting"]
+        malformed.append((blob, "no key 'accepting'"))
+        blob = json.loads(to_json(aut))
+        blob["states"][1] = [1, True]
+        malformed.append((blob, "list indices"))
+    for blob, named in malformed:
+        with pytest.raises(UnsupportedFormat, match=named):
+            automaton_from_json(json.dumps(blob))
 
 
 def test_interim_automaton_checks_its_transitions():

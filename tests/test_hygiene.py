@@ -193,3 +193,33 @@ def test_no_module_reads_a_derived_view():
         for path in sorted((REPO / "src").rglob("*.py"))
     }
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def imports_numpy(source: str) -> bool:
+    """Whether a module imports numpy or one of its submodules."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "numpy" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "numpy":
+                return True
+    return False
+
+
+def test_numpy_imports_are_found():
+    found = ["import numpy as np\n", "import os, numpy.linalg\n", "from numpy import zeros\n",
+             "def f():\n    from numpy.fft import rfft\n"]
+    missed = ["import numpyro\n", "from .numpy import x\n", "from . import numpy\n",
+              "# import numpy\n", "s = 'import numpy'\n"]
+    assert [imports_numpy(s) for s in found + missed] == [True] * 4 + [False] * 5
+
+
+def test_only_the_array_modules_import_numpy():
+    # the subset walks live in automaton.py and the batched Rabin kernel in
+    # _batch.py; every other module works on Python values
+    found = [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("automaton.py", "_batch.py") and imports_numpy(path.read_text())
+    ]
+    assert found == []

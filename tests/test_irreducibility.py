@@ -1,8 +1,10 @@
 import random
 import re
+import tracemalloc
 import warnings
 from itertools import product
 
+import numpy as np
 import pytest
 
 from quadcomp import (
@@ -37,6 +39,7 @@ from quadcomp import (
     letter_chain,
     pi,
     rabin_is_irreducible,
+    reverse_subset_prune,
 )
 from quadcomp import automaton
 from quadcomp import test_decomposable as decomposable_verdict
@@ -243,6 +246,49 @@ def test_extend_frontier_is_the_same_across_chunks(monkeypatch):
                 assert [w for w, _ in frontier] == [w for w, _ in levels[n]]
                 assert all((a == b).all() for (_, a), (_, b) in zip(frontier, levels[n]))
     assert len(levels[4]) > 100
+
+
+def level_alphabets():
+    return [example_alphabet()] + [Alphabet.maximal(f) for f in (F3, F5, F9, FiniteField(5, 2))]
+
+
+def test_level_rows_are_the_folds_of_their_words():
+    # a word's resume row is accepting_mask folded by mask = mask[rows[j]]
+    # over its letters; the fold is taken for all of a level's words at once
+    for alph in level_alphabets():
+        n_aut = build_interim(alph)
+        folds = {(): n_aut.accepting_mask}
+        for _, frontier in iter_levels(alph, 5):
+            words = [w for w, _ in frontier]
+            prev = np.array([folds[w[:-1]] for w in words])
+            expected = prev[np.arange(len(words))[:, None], n_aut.rows[[w[-1] for w in words]]]
+            assert np.array_equal(np.array([row for _, row in frontier]), expected)
+            folds = dict(zip(words, expected))
+
+
+def test_level_words_share_read_only_rows():
+    # a level's resume rows are states of M, so M bounds how many it holds
+    for alph in level_alphabets():
+        n_aut = build_interim(alph)
+        m_states = reverse_subset_prune(n_aut).n_states
+        for _, frontier in iter_levels(alph, 5):
+            assert not any(row.flags.writeable for _, row in frontier)
+            assert len({id(row) for _, row in frontier}) <= m_states
+
+
+def test_level_step_holds_no_row_per_word():
+    # a word holds its tuple, its (word, row) pair and its list slot
+    alph = Alphabet.maximal(F3)
+    n_aut = build_interim(alph)
+    frontier = enumerate_level(alph, 10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        level = extend_frontier(n_aut, frontier)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(level) < 250
 
 
 def test_iter_levels_refuses_a_level_past_the_byte_budget(monkeypatch):
