@@ -26,6 +26,7 @@ from .automaton import (
     merge_dist_reg,
     minimize,
     reverse_subset_prune,
+    start_level,
     to_dot,
     to_json,
 )

@@ -11,18 +11,18 @@ construction from the set of N's accepting states, and keeps only subsets
 containing N's initial state.  The result is a partial DFA M, all of
 whose states are accepting, that accepts exactly the words whose
 composition is irreducible.  lazy_accepts and extend_frontier run the same
-subset simulation, by word and by level, without materializing M.
+subset simulation without materializing M, by word and by level: a word
+matrix, one resume id per word and the level's distinct rows, M's states.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,18 +41,13 @@ MAX_INTERIM_Q = 1 << 10
 
 # reverse_subset_prune refuses to hold more than this many bytes of M's
 # table (twice, for the copy that joins its blocks), subset ids and next
-# frontier; extend_frontier refuses a level whose word tuples and pairs
-# pass it, as the words share their rows.
+# frontier; extend_frontier refuses a level whose word matrix, ids and
+# np.nonzero indices pass it.
 # For the maximal alphabet, M has 651,985 states at q = 41 and 2,038,570 at
 # q = 43, about 3.5 times more per prime.  The q = 43 walk peaked at
 # 1,021 MB RSS (2-core x86-64, Python 3.11), and its estimate at 897 MB;
 # q = 53 passes 1 GiB at layer 5, with 4.7 M states, after 14 s.
 MAX_WALK_BYTES = 1 << 30
-
-# (word, resume state): the resume state is the bool row over N's states
-# that lazy_first_failure holds after reading the word
-Frontier = List[Tuple[Tuple[int, ...], np.ndarray]]
-
 
 @dataclass(frozen=True)
 class NState:
@@ -101,8 +96,7 @@ class InterimAutomaton:
         if self.rows.size and not 0 <= self.rows.min() <= self.rows.max() < n:
             raise IndexOutOfRange("transition targets must lie in [0, %d)" % n)
         self.accepting_mask = np.array(accepting, dtype=bool)
-        for array in (self.rows, self.accepting_mask):
-            array.setflags(write=False)
+        _read_only(self.rows, self.accepting_mask)
 
     @cached_property
     def delta(self) -> tuple:
@@ -284,7 +278,8 @@ def _preimage_ids(n_aut: InterimAutomaton, frontier: np.ndarray, ids: dict):
     gathering at most _GATHER_BYTES at once.  Yields per chunk its ids in (row, letter) order,
     -1 for the other preimages, and the preimages it numbered first."""
     chunk = max(1, _GATHER_BYTES // n_aut.rows.size)
-    for lo in range(0, len(frontier), chunk):
+    # an empty frontier still yields one, empty, chunk: an empty level steps to an empty one
+    for lo in range(0, len(frontier) or 1, chunk):
         pre = frontier[lo : lo + chunk][:, n_aut.rows].reshape(-1, n_aut.n_states)
         keep = pre[:, 0]  # the preimage holds N's initial state
         pre = pre[keep]
@@ -296,39 +291,42 @@ def _preimage_ids(n_aut: InterimAutomaton, frontier: np.ndarray, ids: dict):
         yield block, pre[first[got_ids >= n_before]]
 
 
-def extend_frontier(n_aut: InterimAutomaton, frontier: Frontier) -> Frontier:
-    """Append every viable letter to every (word, resume-state) pair.
+def start_level(n_aut: InterimAutomaton) -> tuple:
+    """Level 0: the empty word, resuming at N's accepting states, in the
+    narrowest unsigned dtype that holds every letter index."""
+    words = np.empty((1, 0), dtype=np.min_scalar_type(len(n_aut.alphabet) - 1))
+    return _read_only(words, np.zeros(1, dtype=np.int32), n_aut.accepting_mask[None, :])
 
-    The level's distinct rows, told apart by identity, take the subset walk's
-    step once, and the new words share its read-only rows; a level whose
-    words would pass MAX_WALK_BYTES raises BudgetExceeded before any is built."""
-    if not frontier:
-        return []
-    resume = {id(mask): mask for _, mask in frontier}  # in order of first appearance
-    blocks, fresh = zip(*_preimage_ids(n_aut, np.array(list(resume.values())), {}))
-    stepped = np.concatenate(fresh)
-    stepped.setflags(write=False)
-    shared = list(stepped)  # one read-only view per distinct new row
-    table = np.concatenate(blocks).reshape(len(resume), -1).tolist()
-    succ = {key: [(j, shared[t]) for j, t in enumerate(targets) if t >= 0]
-            for key, targets in zip(resume, table)}
-    n_words = sum(len(succ[id(mask)]) for _, mask in frontier)
-    level = len(frontier[0][0]) + 1
-    # a word's tuple, its (word, row) pair and its list slot; the rows are shared
-    held = n_words * (sys.getsizeof((0,) * level) + sys.getsizeof((0, 0)) + 8)
+
+def extend_frontier(n_aut: InterimAutomaton, level: tuple) -> tuple:
+    """Append every viable letter to every word of a level.
+
+    A level is three read-only arrays: `words`, a (W, n) matrix of letter
+    indices in lexicographic order; int32 `ids`, one per word; and `rows`,
+    the level's distinct resume rows, indexed by `ids`: the sets of N's states
+    that lazy_first_failure holds after reading a word, so states of M.  The
+    rows take the subset walk's step once.  A level whose arrays would pass
+    MAX_WALK_BYTES raises BudgetExceeded before any is built."""
+    words, ids, rows = level
+    blocks, fresh = zip(*_preimage_ids(n_aut, rows, {}))
+    nxt = np.concatenate(blocks).reshape(-1, len(n_aut.alphabet))[ids]
+    viable = nxt >= 0
+    n_words = np.count_nonzero(viable)
+    n = words.shape[1] + 1
+    # the new words and ids, and the two index arrays of np.nonzero
+    held = n_words * (n * words.itemsize + nxt.itemsize + 2 * np.dtype(np.intp).itemsize)
     if held > MAX_WALK_BYTES:
         raise BudgetExceeded("level %d holds %d words, about %d of %d MB"
-                             % (level, n_words, held >> 20, MAX_WALK_BYTES >> 20))
-    # The new pairs cannot form cycles.  Left on, the cycle collector runs
-    # after every few hundred of them and now and then rescans every live
-    # object, so a level's cost grew faster than its size.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return [(word + (j,), row) for word, mask in frontier for j, row in succ[id(mask)]]
-    finally:
-        if enabled:
-            gc.enable()
+                             % (n, n_words, held >> 20, MAX_WALK_BYTES >> 20))
+    r, j = np.nonzero(viable)  # in (word, letter) order, which keeps the words sorted
+    new_words = np.column_stack((words[r], j.astype(words.dtype)))
+    return _read_only(new_words, nxt[r, j], np.concatenate(fresh))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
@@ -549,9 +547,10 @@ def automaton_from_json(text: str):
 
     State ids must be exactly 0..n-1 and each (state, letter) pair may be
     listed once; an interim machine needs every pair (its constructor
-    refuses the -1 a missing one leaves), and every state of a partial one
-    must accept.  A document that is not an object, lacks a key or holds an
-    entry of the wrong type raises UnsupportedFormat.
+    refuses the -1 a missing one leaves) and starts at state 0, and every
+    state of a partial one must accept.  A document that is not an object,
+    lacks a key or holds an entry of the wrong type, such as a `merged`
+    that is not a bool, raises UnsupportedFormat.
     """
     doc = json.loads(text)
     try:
@@ -572,11 +571,15 @@ def automaton_from_json(text: str):
             if not all(st["accepting"] for st in states):
                 raise ValueError("every state of a partial DFA accepts")
             return PartialDfa(field, alphabet, n, table, start=doc["start"])
+        if doc["start"] != InterimAutomaton.start:
+            raise IndexOutOfRange("an interim automaton starts at 0, not %r" % (doc["start"],))
+        merged = doc.get("merged", False)
+        if not isinstance(merged, bool):
+            raise UnsupportedFormat("merged must be a bool, not %r" % (merged,))
         nstates = [NState(st["kind"], None if st["value"] is None else parse(st["value"]))
                    for st in states]
         accepting = [bool(st["accepting"]) for st in states]
-        return InterimAutomaton(field, alphabet, nstates, accepting, table.T,
-                                doc.get("merged", False))
+        return InterimAutomaton(field, alphabet, nstates, accepting, table.T, merged)
     except (KeyError, TypeError, AttributeError) as exc:
         # a document that is a list, say, has no .get
         what = "no key %s" % exc if isinstance(exc, KeyError) else exc

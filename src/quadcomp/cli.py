@@ -239,25 +239,20 @@ def cmd_local(args) -> int:
 # -- enumerate / count -------------------------------------------------------
 
 
-def _accepted_words(alphabet: Alphabet, n: int, budget: int) -> List[tuple]:
-    words: List[tuple] = []
-    for level, frontier in iter_levels(alphabet, n):
-        if len(frontier) > budget:
-            raise BudgetExceeded(
-                "level %d holds %d words, budget is %d" % (level, len(frontier), budget)
-            )
-        if level == n:
-            words = [w for w, _ in frontier]
-    return words
-
-
 def cmd_enumerate(args) -> int:
     alphabet = _automaton_alphabet(args)
     if args.n < 1:
         raise CliError("n must be >= 1")
     if args.budget < 0:
         raise CliError("budget must be >= 0")
-    words = _accepted_words(alphabet, args.n, args.budget)
+    for level, words in iter_levels(alphabet, args.n):
+        if len(words) > args.budget:
+            raise BudgetExceeded(
+                "level %d holds %d words, budget is %d" % (level, len(words), args.budget)
+            )
+    # lists of ints, as Alphabet.check_word refuses numpy integers; a language
+    # that dies before level n leaves none
+    words = words.tolist()
     if args.words:
         for word in words:
             print(_format_word(alphabet, word, args.innermost_first))

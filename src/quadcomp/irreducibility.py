@@ -8,10 +8,11 @@ polynomial by completing the square, then test the recovered chain.  Both
 work on raw field values, reducing each chain step and peeled coefficient
 once; FieldElement and Poly objects are built only for what is returned.
 
-Levels: enumerate_level lists the accepted words of a given length
-together with an opaque resume state, so level n+1 is built from level n
-by appending one letter per word (the accepted language is prefix
-closed).
+Levels: iter_levels and enumerate_level give the accepted words of a
+given length as one (words, n) matrix of letter indices in lexicographic
+order.  The words are the length-n paths of M, so level n+1 is built from
+level n by appending one letter per word (the accepted language is prefix
+closed); see automaton.extend_frontier.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .automaton import Frontier, build_interim, extend_frontier
+from .automaton import build_interim, extend_frontier, start_level
 from .errors import (
     DegreeTooSmall,
     EmptyWord,
@@ -151,32 +152,30 @@ def _warn_unless_free(alphabet: Alphabet, assume_free: bool) -> None:
 
 def iter_levels(
     alphabet: Alphabet, max_level: Optional[int] = None, assume_free: bool = False
-) -> Iterator[Tuple[int, Frontier]]:
-    """Yield (n, frontier) for n = 1, 2, ...; stops after max_level or when
-    a level comes up empty."""
+) -> Iterator[tuple]:
+    """Yield (n, words) for n = 1, 2, ..., words a read-only (W, n) matrix of
+    letter indices; stops after max_level or when a level comes up empty."""
     alphabet.require_nonempty()
     _warn_unless_free(alphabet, assume_free)
     n_aut = build_interim(alphabet)
-    frontier: Frontier = [((), n_aut.accepting_mask)]
-    level = 0
-    while max_level is None or level < max_level:
-        frontier = extend_frontier(n_aut, frontier)
-        level += 1
-        yield level, frontier
-        if not frontier:
+    level = start_level(n_aut)
+    while max_level is None or level[0].shape[1] < max_level:
+        level = extend_frontier(n_aut, level)
+        words = level[0]
+        yield words.shape[1], words
+        if not len(words):
             return
 
 
-def enumerate_level(alphabet: Alphabet, n: int, assume_free: bool = False) -> Frontier:
-    """All accepted words of length exactly n, in lexicographic order,
-    paired with their resume states."""
+def enumerate_level(alphabet: Alphabet, n: int, assume_free: bool = False):
+    """All accepted words of length exactly n, in lexicographic order, as
+    one read-only (W, n) matrix of letter indices."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    result: Frontier = []
-    for level, frontier in iter_levels(alphabet, n, assume_free):
-        if level == n:
-            result = frontier
-    return result
+    for _, words in iter_levels(alphabet, n, assume_free):
+        pass
+    # a language that dies before level n ends on an empty, shorter level
+    return words.reshape(-1, n)
 
 
 def enumerate_irreducible_degree(field: FiniteField, n: int) -> Iterator[Poly]:
@@ -189,14 +188,14 @@ def enumerate_irreducible_degree(field: FiniteField, n: int) -> Iterator[Poly]:
     if n < 1:
         raise ValueError("level must be >= 1")
     alphabet = Alphabet.maximal(field)
-    words = [word for word, _ in enumerate_level(alphabet, n)]
+    words = enumerate_level(alphabet, n).tolist()
     for _, _, poly in _shifted_compositions(alphabet, words):
         yield poly
 
 
 def _shifted_compositions(
-    alphabet: Alphabet, words: Sequence[Tuple[int, ...]]
-) -> Iterator[Tuple[FieldElement, Tuple[int, ...], Poly]]:
+    alphabet: Alphabet, words: Sequence[Sequence[int]]
+) -> Iterator[Tuple[FieldElement, Sequence[int], Poly]]:
     """(shift, word, pi(word)(x - shift)) with shifts in field element
     order (outer loop) and words in the given order."""
     field = alphabet.field

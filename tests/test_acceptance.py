@@ -42,6 +42,7 @@ from quadcomp import (
     rabin_irreducible_2power,
     rabin_is_irreducible,
     reverse_subset_prune,
+    start_level,
 )
 from quadcomp import test_decomposable as decomposable_verdict
 from quadcomp._batch import from_polys
@@ -240,7 +241,7 @@ def test_criterion_06_partition_theorem():
                 brute.add(poly)
         mine = list(enumerate_irreducible_degree(field, n))
         mx = Alphabet.maximal(field)
-        words = [w for w, _ in enumerate_level(mx, n)]
+        words = enumerate_level(mx, n).tolist()
         classes = []
         for shift in field.elements():
             classes.append({pi(w, mx).shift_argument(-shift) for w in words})
@@ -340,7 +341,7 @@ def test_criterion_10_performance():
 
     # per-level frontier growth, repeated until each level times stably
     n_aut = build_interim(mx)
-    frontier = [((), n_aut.accepting_mask)]
+    frontier = start_level(n_aut)
     per_level = []
     for _ in range(10):
         reps, spent = 1, 0.0

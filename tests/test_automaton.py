@@ -627,6 +627,13 @@ def test_json_with_an_out_of_range_target_is_refused():
             blob["states"][-1]["id"] = bad
             with pytest.raises(IndexOutOfRange):
                 automaton_from_json(json.dumps(blob))
+    # an interim machine starts at state 0, as N's constructor has it
+    n3 = build_interim(Alphabet.maximal(F3))
+    for start, merged in ((5, False), (5, "yes"), (1, True), (-1, False)):
+        blob = json.loads(to_json(n3))
+        blob.update(start=start, merged=merged)
+        with pytest.raises(IndexOutOfRange):
+            automaton_from_json(json.dumps(blob))
     blob = json.loads(to_json(reverse_subset_prune(n_aut)))
     blob["states"][1]["accepting"] = False
     with pytest.raises(ValueError):
@@ -635,7 +642,7 @@ def test_json_with_an_out_of_range_target_is_refused():
     malformed = [([], "'list' object"), ("M", "'str' object")]
     for aut in (n_aut, reverse_subset_prune(n_aut)):
         keys = ("field", "alphabet", "states", "transitions")
-        for key in keys + (("start",) if isinstance(aut, PartialDfa) else ()):
+        for key in keys + ("start",):
             blob = json.loads(to_json(aut))
             del blob[key]
             malformed.append((blob, "no key '%s'" % key))
@@ -645,6 +652,10 @@ def test_json_with_an_out_of_range_target_is_refused():
         blob = json.loads(to_json(aut))
         blob["states"][1] = [1, True]
         malformed.append((blob, "list indices"))
+    for merged in ("yes", 1, 0, None, []):
+        blob = json.loads(to_json(n3))
+        blob["merged"] = merged
+        malformed.append((blob, "merged must be a bool"))
     for blob, named in malformed:
         with pytest.raises(UnsupportedFormat, match=named):
             automaton_from_json(json.dumps(blob))

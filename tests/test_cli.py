@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import product
 
@@ -6,6 +7,7 @@ import pytest
 from quadcomp import (
     Alphabet,
     FiniteField,
+    FreedomNotCertified,
     MonicQuad,
     build_interim,
     chain_irreducible,
@@ -173,6 +175,38 @@ def test_enumerate_words(capsys):
     rc, out, _ = run(capsys, "enumerate", "--q", "3", "-n", "2", "--words",
                      "--innermost-first")
     assert rc == 0 and out == ["gh", "hh"]
+
+
+# two letters drawn over F_11 by random.Random(18): (randrange(11), randrange(11)) each
+SEEDED = "a=2 b=1;a=10 b=7"
+
+
+@pytest.mark.parametrize("argv, lines, digest", [
+    (("--q", "5", "-n", "6", "--words"), 1126,
+     "18662807acee2bad4c41bc52c0589c9f4bfd8dee750e6c48ebc9aaf0ff3c6fdd"),
+    (("--q", "9", "-n", "3", "--annotate", "--innermost-first"), 900,
+     "3fe06b28de5f428431c8b6af7ad7749a25b70c0272fe71a0ff1bb47101ebe6d7"),
+    (("--q", "11", "--alphabet", SEEDED, "-n", "12", "--words"), 622,
+     "30f8fead5e49855a697765b3289b920191b04346886e816f240a6786f5cd53c4"),
+    (("--q", "11", "--alphabet", SEEDED, "-n", "6", "--annotate"), 11,
+     "c356094ef42a3578f7ad369042214c78ce9766323cd155b968dab801236a65d3"),
+])
+def test_enumerate_output_is_pinned(capsys, argv, lines, digest):
+    assert main(["enumerate", *argv]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_enumerate_names_every_letter_of_a_wide_alphabet(capsys):
+    # 361 letters: L300 must not wrap to L44 in an 8-bit word matrix
+    letters = ";".join("a=%d b=%d" % (a, b) for a in range(19) for b in range(19))
+    wide = _parse_alphabet(FiniteField(19), letters)
+    with pytest.warns(FreedomNotCertified):
+        rc, out, _ = run(capsys, "enumerate", "--q", "19", "--alphabet", letters,
+                         "-n", "1", "--words")
+    assert rc == 0 and "L300" in out
+    assert out == ["L%d" % j for j in range(361) if chain_irreducible((j,), wide).irreducible]
 
 
 def test_enumerate_budget(capsys):

@@ -40,6 +40,7 @@ from quadcomp import (
     pi,
     rabin_is_irreducible,
     reverse_subset_prune,
+    start_level,
 )
 from quadcomp import automaton
 from quadcomp import test_decomposable as decomposable_verdict
@@ -188,14 +189,14 @@ def test_letter_chain_refusals_match_the_field_element_fold():
 
 def test_enumerate_level_frozen_sets():
     alph = example_alphabet()
-    words = [alph.format_word(w) for w, _ in enumerate_level(alph, 3)]
+    words = [alph.format_word(w) for w in enumerate_level(alph, 3).tolist()]
     assert words == ["fff", "ffg", "fgg", "ggf"]
     mx = Alphabet.maximal(F3)
-    words = [mx.format_word(w) for w, _ in enumerate_level(mx, 2)]
+    words = [mx.format_word(w) for w in enumerate_level(mx, 2).tolist()]
     assert words == ["hg", "hh"]
     # level 1 is exactly the letters with nonsquare b
     for alph2 in (Alphabet.maximal(F5), Alphabet.maximal(F7), Alphabet.maximal(F9)):
-        level1 = {w[0] for w, _ in enumerate_level(alph2, 1)}
+        level1 = set(enumerate_level(alph2, 1)[:, 0].tolist())
         expect = {i for i, quad in enumerate(alph2) if quad.b.is_nonsquare()}
         assert level1 == expect
 
@@ -203,9 +204,20 @@ def test_enumerate_level_frozen_sets():
 def test_enumerate_level_matches_chain_filter():
     alph = example_alphabet()
     for n in range(1, 6):
-        brute = [w for w in product(range(2), repeat=n)
+        brute = [list(w) for w in product(range(2), repeat=n)
                  if chain_irreducible(w, alph).irreducible]
-        assert [w for w, _ in enumerate_level(alph, n)] == brute
+        assert enumerate_level(alph, n).tolist() == brute
+
+
+def test_levels_of_a_wide_alphabet_keep_every_letter_index():
+    # all 361 letters (x - a)^2 - b over F_19: indices past 255 need 16 bits
+    f19 = FiniteField(19)
+    wide = Alphabet(f19, [MonicQuad(a, b) for a in f19.elements() for b in f19.elements()])
+    words = enumerate_level(wide, 2, assume_free=True)
+    brute = [list(w) for w in product(range(361), repeat=2)
+             if chain_irreducible(w, wide).irreducible]
+    assert words.tolist() == brute
+    assert words.max() >= 300
 
 
 def test_enumerate_level_validates_n():
@@ -216,24 +228,29 @@ def test_enumerate_level_validates_n():
 def test_iter_levels_stops_when_language_dies():
     dead = Alphabet(F3, [MonicQuad(F3.elem(0), F3.elem(1))])  # x^2 - 1 reducible
     seen = list(iter_levels(dead, 10))
-    assert seen == [(1, [])]
+    assert [(n, words.shape) for n, words in seen] == [(1, (0, 1))]
+    assert enumerate_level(dead, 3).shape == (0, 3)
 
 
 def test_extend_frontier_steps_one_level():
     alph = example_alphabet()
     n_aut = build_interim(alph)
-    frontier = [((), n_aut.accepting_mask)]
+    frontier = start_level(n_aut)
     level1 = extend_frontier(n_aut, frontier)
-    assert [w for w, _ in level1] == [(0,), (1,)]
+    assert level1[0].tolist() == [[0], [1]]
     level2 = extend_frontier(n_aut, level1)
-    assert [w for w, _ in level2] == [(0, 0), (0, 1), (1, 1)]
+    assert level2[0].tolist() == [[0, 0], [0, 1], [1, 1]]
+    # an empty level steps to an empty level
+    dead = build_interim(Alphabet(F3, [MonicQuad(F3.elem(0), F3.elem(1))]))
+    level1 = extend_frontier(dead, start_level(dead))
+    assert [a.shape for a in extend_frontier(dead, level1)] == [(0, 2), (0,), (0, 7)]
 
 
 def test_extend_frontier_is_the_same_across_chunks(monkeypatch):
     # a chunk of 1 byte gathers one word's preimages at a time, one of
     # 1000 bytes those of 9 words (7 letters, 15 states)
     n_aut = build_interim(Alphabet.maximal(F7))
-    levels = [[((), n_aut.accepting_mask)]]
+    levels = [start_level(n_aut)]
     for gather_bytes in (None, 1, 1000):
         if gather_bytes:
             monkeypatch.setattr(automaton, "_GATHER_BYTES", gather_bytes)
@@ -243,9 +260,8 @@ def test_extend_frontier_is_the_same_across_chunks(monkeypatch):
             if gather_bytes is None:
                 levels.append(frontier)
             else:
-                assert [w for w, _ in frontier] == [w for w, _ in levels[n]]
-                assert all((a == b).all() for (_, a), (_, b) in zip(frontier, levels[n]))
-    assert len(levels[4]) > 100
+                assert all(np.array_equal(a, b) for a, b in zip(frontier, levels[n]))
+    assert len(levels[4][0]) > 100
 
 
 def level_alphabets():
@@ -258,29 +274,38 @@ def test_level_rows_are_the_folds_of_their_words():
     for alph in level_alphabets():
         n_aut = build_interim(alph)
         folds = {(): n_aut.accepting_mask}
-        for _, frontier in iter_levels(alph, 5):
-            words = [w for w, _ in frontier]
+        level = start_level(n_aut)
+        for _ in range(5):
+            level = extend_frontier(n_aut, level)
+            words, ids, rows = level
+            words = list(map(tuple, words.tolist()))
             prev = np.array([folds[w[:-1]] for w in words])
             expected = prev[np.arange(len(words))[:, None], n_aut.rows[[w[-1] for w in words]]]
-            assert np.array_equal(np.array([row for _, row in frontier]), expected)
+            assert np.array_equal(rows[ids], expected)
             folds = dict(zip(words, expected))
 
 
 def test_level_words_share_read_only_rows():
-    # a level's resume rows are states of M, so M bounds how many it holds
+    # a level's resume rows are distinct states of M, so M bounds how many it holds
     for alph in level_alphabets():
         n_aut = build_interim(alph)
         m_states = reverse_subset_prune(n_aut).n_states
-        for _, frontier in iter_levels(alph, 5):
-            assert not any(row.flags.writeable for _, row in frontier)
-            assert len({id(row) for _, row in frontier}) <= m_states
+        level = start_level(n_aut)
+        for _ in range(5):
+            level = extend_frontier(n_aut, level)
+            words, ids, rows = level
+            assert not words.flags.writeable and not rows.flags.writeable
+            assert len(rows) <= m_states
+            assert len(np.unique(rows, axis=0)) == len(rows) and ids.max() < len(rows)
 
 
 def test_level_step_holds_no_row_per_word():
-    # a word holds its tuple, its (word, row) pair and its list slot
+    # a word holds its letters and one resume id; the rows are shared
     alph = Alphabet.maximal(F3)
     n_aut = build_interim(alph)
-    frontier = enumerate_level(alph, 10)
+    frontier = start_level(n_aut)
+    for _ in range(10):
+        frontier = extend_frontier(n_aut, frontier)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -288,7 +313,7 @@ def test_level_step_holds_no_row_per_word():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held / len(level) < 250
+    assert held / len(level[0]) < 32
 
 
 def test_iter_levels_refuses_a_level_past_the_byte_budget(monkeypatch):
@@ -464,7 +489,7 @@ def test_canonicalize_rejects_reducible_and_indecomposable():
 
 def test_canonicalize_inverts_enumerate():
     mx = Alphabet.maximal(F5)
-    words = [w for w, _ in enumerate_level(mx, 2)]
+    words = list(map(tuple, enumerate_level(mx, 2).tolist()))
     for shift in F5.elements():
         for word in words:
             F = pi(word, mx).shift_argument(-shift)
