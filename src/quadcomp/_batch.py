@@ -16,17 +16,29 @@ Reduction modulo a monic degree-d row polynomial f is Newton-inverse
 (Barrett) reduction: g = rev(f)^-1 mod x^(d-1) is computed once per chunk
 by Newton iteration, and a row P of degree <= 2d-2 is reduced with two
 products against cached transforms, the quotient as a slice of
-P_top * rev(g) and the remainder as P - Q*f modulo x^d - 1.  A chunk
-holds O(rows * d) numbers.
+P_top * rev(g) and the remainder as P - Q*f modulo x^d - 1.
 
 For degrees d = 2^m the Rabin irreducibility test needs no gcds:
 f is irreducible iff x^(q^d) = x and x^(q^(d/2)) != x modulo f, because
 x^(q^d) = x forces f squarefree with factor degrees dividing d, and any
-proper factor degree would divide d/2.
+proper factor degree would divide d/2.  The kernel reaches x^(q^j) one of
+two ways, chosen per call from q and d by counted operations
+(_matrix_path):
+
+- The power path, for large q or d > 64: x^(q^(d/2)) by binary powering
+  with Newton reduction, (d/2)*log2(q) squarings, then x^(q^d) as one
+  Brent-Kung composition.  A chunk holds O(rows * d) numbers.
+- The Frobenius-matrix path (Berlekamp's Q), for small q and d <= 64.  As
+  the coefficients lie in F_q, g^q mod f = Q g, where column i of Q is
+  x^(iq) mod f; so x^(q^j) = Q^j x takes j mat-vecs, d in all.  Every
+  sum stays below d*((p-1)/2)^2 as in an FFT product, so exactness is the
+  same.  A chunk holds at most 2^18 entries of Q, so rows = 2^18 // d^2,
+  whatever d.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence
 
 import numpy as np
@@ -35,7 +47,16 @@ from .finite_field import FiniteField
 from .monoid import Alphabet
 from .polynomial import Poly
 
-_CHUNK = 32768  # entries (rows * d) per chunk: small enough to stay in cache
+_CHUNK = 32768  # entries (rows * d) per power-path chunk: small enough to stay in cache
+_Q_ENTRIES = 1 << 18  # Frobenius matrix entries (rows * d^2) per matrix-path chunk
+# Fitted to the measured crossover of the two paths (2-core x86-64, numpy
+# 2.4 on OpenBLAS): see _matrix_path.
+_SHIFT_WEIGHT = 12
+_PRODUCT_WEIGHT = 36
+# Up to d = 64 a row's mat-vec stays below the sizes at which OpenBLAS
+# spreads one call over threads; on a loaded host those calls were seen
+# taking milliseconds instead of microseconds.
+_MATRIX_MAX_D = 64
 _BLOCK = 8  # most powers of Y kept by _compose_mod
 
 
@@ -51,7 +72,7 @@ def _mode_is_complex(field: FiniteField) -> bool:
 
 
 def _balance(arr, p):
-    """Round a 2-D array to integers and balance them mod p (a new array).
+    """Round an array to integers and balance them mod p (a new array).
 
     Complex entries are handled as (real, imag) pairs of floats, which
     needs the last axis to be contiguous."""
@@ -184,14 +205,14 @@ class _Modulus:
         low[:, : d - 1] += top
         return _balance(low, p)
 
-    def mul_x(self, P):
-        """x * P modulo f: a shift plus one correction."""
-        d = self.d
-        out = np.empty_like(P)
-        out[:, 0] = 0
-        out[:, 1:] = P[:, : d - 1]
-        out -= P[:, d - 1 :] * self.f_low
-        return _balance(out, self.p)
+
+def _mul_x(P, f_low, p):
+    """x * P modulo the monic rows x^d + f_low: a shift plus one correction."""
+    out = np.empty_like(P)
+    out[:, 0] = 0
+    out[:, 1:] = P[:, :-1]
+    out -= P[:, -1:] * f_low
+    return _balance(out, p)
 
 
 def _pow_x(e, mod):
@@ -202,7 +223,7 @@ def _pow_x(e, mod):
     for bit in bin(e)[3:]:
         acc = mod.mulmod(acc)
         if bit == "1":
-            acc = mod.mul_x(acc)
+            acc = _mul_x(acc, mod.f_low, mod.p)
     return acc
 
 
@@ -232,7 +253,7 @@ def _compose_mod(Y, mod):
     return Z
 
 
-def _rabin_chunk(f_low, q, p, cplx):
+def _rabin_power_chunk(f_low, q, p, cplx):
     mod = _Modulus(f_low, p, cplx)
     y = _pow_x(q ** (mod.d // 2), mod)
     x_arr = np.zeros_like(y)
@@ -241,6 +262,84 @@ def _rabin_chunk(f_low, q, p, cplx):
     z = _compose_mod(y, mod)
     fixed = np.all(z == x_arr, axis=1)
     return fixed & moved
+
+
+def _vecmat(v, M):
+    """Row-wise products v @ M of (rows, 1, k) and (rows, k, n) arrays.
+
+    Complex rows are multiplied as [re; im] @ M viewed as floats, whose
+    columns interleave (re, im): real matrix products stay on the BLAS
+    sizes that run on one thread, where a complex mat-vec of 64 x 64 can
+    wake threads that cost milliseconds a call on a loaded host."""
+    if not np.iscomplexobj(M):
+        return np.matmul(v, M)
+    w = np.matmul(np.concatenate([v.real, v.imag], axis=1), M.view(np.float64))
+    out = np.empty((len(M), 1, M.shape[2]), dtype=M.dtype)
+    out.real = w[:, :1, 0::2] - w[:, 1:, 1::2]
+    out.imag = w[:, :1, 1::2] + w[:, 1:, 0::2]
+    return out
+
+
+def _frobenius_matrices(f_low, q, p):
+    """Each row's Frobenius matrix Q, transposed: row i of the result is
+    x^(iq) mod f, so a row vector g gives g^q mod f as g @ Q^T.
+
+    Rows with iq < d are unit vectors.  The rest follow one another as
+    x^(iq) = x^q * x^((i-1)q): a shift by q whose top coefficients fold back
+    through x^(d+q-k), ..., x^(d+q-1) mod f, k = min(q, d), which q - 1
+    steps of _mul_x from x^d reach.  The fold holds k rows, never more than
+    Q, and sums k products of balanced residues."""
+    rows, d = f_low.shape
+    k = min(q, d)
+    y = -f_low  # x^d mod f
+    for _ in range(q - k):
+        y = _mul_x(y, f_low, p)
+    fold = np.empty((rows, k, d), dtype=f_low.dtype)
+    fold[:, 0] = y
+    for j in range(1, k):
+        fold[:, j] = y = _mul_x(y, f_low, p)
+    qt = np.zeros((rows, d, d), dtype=f_low.dtype)
+    units = np.arange((d - 1) // q + 1)
+    qt[:, units, units * q] = 1.0
+    g = np.zeros((rows, 1, d), dtype=f_low.dtype)
+    g[:, 0, units[-1] * q] = 1.0
+    for i in range(len(units), d):
+        col = _vecmat(g[:, :, d - k :], fold)
+        col[:, :, q:] += g[:, :, : max(d - q, 0)]
+        g = _balance(col, p)
+        qt[:, i] = g[:, 0]
+    return qt
+
+
+def _rabin_matrix_chunk(f_low, q, p):
+    """x^(q^j) = Q^j x by d mat-vecs, balanced after each, so every sum
+    stays below d*((p-1)/2)^2 as in a product of the power path."""
+    qt = _frobenius_matrices(f_low, q, p)
+    d = f_low.shape[1]
+    x_arr = np.zeros((len(f_low), 1, d), dtype=f_low.dtype)
+    x_arr[:, 0, 1] = 1.0
+    y = x_arr
+    fixed = []  # whether x^(q^(d/2)) = x, then whether x^(q^d) = x
+    for _ in range(2):
+        for _ in range(d // 2):
+            y = _balance(_vecmat(y, qt), p)
+        fixed.append(np.all(y == x_arr, axis=(1, 2)))
+    return fixed[1] & ~fixed[0]
+
+
+def _matrix_path(q, d):
+    """Whether rows of degree d over F_q take the Frobenius-matrix path.
+
+    Per row, the matrix path takes q shift steps of d entries to build its
+    fold and d mat-vecs of d^2 terms; the power path takes (d/2)*log2(q)
+    squarings and 2*sqrt(d) composition products of about d*log2(2d) terms
+    each.  _SHIFT_WEIGHT and _PRODUCT_WEIGHT price a shift entry and a
+    product term in mat-vec terms."""
+    if d > _MATRIX_MAX_D:
+        return False
+    matrix = _SHIFT_WEIGHT * q * d + d**3
+    products = (d // 2) * math.log2(q) + 2 * math.sqrt(d)
+    return matrix < _PRODUCT_WEIGHT * products * d * math.log2(2 * d)
 
 
 def rabin_irreducible_2power(field: FiniteField, coeffs) -> np.ndarray:
@@ -255,14 +354,16 @@ def rabin_irreducible_2power(field: FiniteField, coeffs) -> np.ndarray:
     d = width - 1
     if d < 2 or d & (d - 1):
         raise ValueError("degree must be a power of 2, at least 2")
-    p = field.p
+    p, q = field.p, field.q
     if not np.all(_balance(arr[:, d:], p) == 1):
         raise ValueError("rows must be monic")
-    f_low = _balance(arr[:, :d], p)
+    matrix = _matrix_path(q, d)
+    step = max(1, _Q_ENTRIES // (d * d)) if matrix else max(64, _CHUNK // d)
     out = np.empty(rows, dtype=bool)
-    step = max(64, _CHUNK // d)
     for s in range(0, rows, step):
-        out[s : s + step] = _rabin_chunk(f_low[s : s + step], field.q, p, cplx)
+        f_low = _balance(arr[s : s + step, :d], p)
+        out[s : s + step] = (_rabin_matrix_chunk(f_low, q, p) if matrix
+                             else _rabin_power_chunk(f_low, q, p, cplx))
     return out
 
 

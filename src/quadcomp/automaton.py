@@ -42,7 +42,7 @@ MAX_INTERIM_Q = 1 << 10
 # reverse_subset_prune refuses to hold more than this many bytes of M's
 # table (twice, for the copy that joins its blocks), subset ids and next
 # frontier; extend_frontier refuses a level whose word matrix, ids and
-# np.nonzero indices pass it.
+# np.nonzero indices, with the step's new rows and their ids, pass it.
 # For the maximal alphabet, M has 651,985 states at q = 41 and 2,038,570 at
 # q = 43, about 3.5 times more per prime.  The q = 43 walk peaked at
 # 1,021 MB RSS (2-core x86-64, Python 3.11), and its estimate at 897 MB;
@@ -251,8 +251,6 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     """
     frontier = n_aut.accepting_mask[None, :]
     ids = {_pack(frontier).item(): 0}
-    # besides its dict slot, each id holds its bytes key and an int (32 bytes past 2**30)
-    per_id = sys.getsizeof(next(iter(ids))) + sys.getsizeof(1 << 30)
     blocks = []  # M's table, flattened, one block per chunk
     layer = 0
     while len(frontier):
@@ -261,9 +259,7 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
         for block, new_rows in _preimage_ids(n_aut, frontier, ids):
             blocks.append(block)
             fresh.append(new_rows)
-            # the blocks count twice: joining them copies M's whole table
-            held = (2 * sum(b.nbytes for b in blocks) + sum(f.nbytes for f in fresh)
-                    + sys.getsizeof(ids) + len(ids) * per_id)
+            held = _step_bytes(blocks, fresh, ids)
             if held > MAX_WALK_BYTES:
                 raise BudgetExceeded("subset walk at layer %d holds %d states, about %d of %d MB"
                                      % (layer, len(ids), held >> 20, MAX_WALK_BYTES >> 20))
@@ -298,29 +294,58 @@ def start_level(n_aut: InterimAutomaton) -> tuple:
     return _read_only(words, np.zeros(1, dtype=np.int32), n_aut.accepting_mask[None, :])
 
 
-def extend_frontier(n_aut: InterimAutomaton, level: tuple) -> tuple:
+def extend_frontier(
+    n_aut: InterimAutomaton, level: tuple, max_words: Optional[int] = None
+) -> tuple:
     """Append every viable letter to every word of a level.
 
     A level is three read-only arrays: `words`, a (W, n) matrix of letter
     indices in lexicographic order; int32 `ids`, one per word; and `rows`,
     the level's distinct resume rows, indexed by `ids`: the sets of N's states
     that lazy_first_failure holds after reading a word, so states of M.  The
-    rows take the subset walk's step once.  A level whose arrays would pass
-    MAX_WALK_BYTES raises BudgetExceeded before any is built."""
+    rows take the subset walk's step once.  A level that would hold more than
+    max_words words raises BudgetExceeded before the step, and one whose
+    arrays, with the step's new rows and their ids, would pass
+    MAX_WALK_BYTES raises it as soon as the estimate does: before any new
+    word exists."""
     words, ids, rows = level
-    blocks, fresh = zip(*_preimage_ids(n_aut, rows, {}))
-    nxt = np.concatenate(blocks).reshape(-1, len(n_aut.alphabet))[ids]
-    viable = nxt >= 0
-    n_words = np.count_nonzero(viable)
     n = words.shape[1] + 1
-    # the new words and ids, and the two index arrays of np.nonzero
-    held = n_words * (n * words.itemsize + nxt.itemsize + 2 * np.dtype(np.intp).itemsize)
-    if held > MAX_WALK_BYTES:
-        raise BudgetExceeded("level %d holds %d words, about %d of %d MB"
-                             % (n, n_words, held >> 20, MAX_WALK_BYTES >> 20))
-    r, j = np.nonzero(viable)  # in (word, letter) order, which keeps the words sorted
+    # letter j is viable after a word iff its row holds the j-successor of
+    # N's initial state, which is what keeps a preimage in _preimage_ids
+    viable = rows[:, n_aut.rows[:, 0]]
+    n_words = int(np.bincount(ids, minlength=len(rows)) @ np.count_nonzero(viable, axis=1))
+    # each word's successors and their mask; the new words and ids, and
+    # the two index arrays of np.nonzero
+    words_held = (len(ids) * viable.shape[1] * (np.dtype(np.int32).itemsize + 1)
+                  + n_words * (n * words.itemsize + ids.itemsize + 2 * np.dtype(np.intp).itemsize))
+
+    def check(held):
+        if held > MAX_WALK_BYTES:
+            raise BudgetExceeded("level %d holds %d words, about %d of %d MB"
+                                 % (n, n_words, held >> 20, MAX_WALK_BYTES >> 20))
+
+    check(words_held)
+    if max_words is not None and n_words > max_words:
+        raise BudgetExceeded("level %d holds %d words, budget is %d" % (n, n_words, max_words))
+    blocks, fresh, seen = [], [], {}
+    for block, new_rows in _preimage_ids(n_aut, rows, seen):
+        blocks.append(block)
+        fresh.append(new_rows)
+        check(words_held + _step_bytes(blocks, fresh, seen))
+    del seen  # free the numbering's keys before the join copies the rows
+    nxt = np.concatenate(blocks).reshape(-1, len(n_aut.alphabet))[ids]
+    r, j = np.nonzero(nxt >= 0)  # in (word, letter) order, which keeps the words sorted
     new_words = np.column_stack((words[r], j.astype(words.dtype)))
     return _read_only(new_words, nxt[r, j], np.concatenate(fresh))
+
+
+def _step_bytes(blocks: list, fresh: list, ids: dict) -> int:
+    """Bytes a subset step holds: its table blocks, twice, as joining them
+    copies the whole table; its fresh rows; and the ids dict, each entry
+    with its bytes key and an int (32 bytes past 2**30)."""
+    per_id = sys.getsizeof(next(iter(ids))) + sys.getsizeof(1 << 30) if ids else 0
+    return (2 * sum(b.nbytes for b in blocks) + sum(f.nbytes for f in fresh)
+            + sys.getsizeof(ids) + len(ids) * per_id)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:

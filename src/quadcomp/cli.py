@@ -245,11 +245,8 @@ def cmd_enumerate(args) -> int:
         raise CliError("n must be >= 1")
     if args.budget < 0:
         raise CliError("budget must be >= 0")
-    for level, words in iter_levels(alphabet, args.n):
-        if len(words) > args.budget:
-            raise BudgetExceeded(
-                "level %d holds %d words, budget is %d" % (level, len(words), args.budget)
-            )
+    for _, words in iter_levels(alphabet, args.n, max_words=args.budget):
+        pass
     # lists of ints, as Alphabet.check_word refuses numpy integers; a language
     # that dies before level n leaves none
     words = words.tolist()

@@ -151,16 +151,21 @@ def _warn_unless_free(alphabet: Alphabet, assume_free: bool) -> None:
 
 
 def iter_levels(
-    alphabet: Alphabet, max_level: Optional[int] = None, assume_free: bool = False
+    alphabet: Alphabet,
+    max_level: Optional[int] = None,
+    assume_free: bool = False,
+    max_words: Optional[int] = None,
 ) -> Iterator[tuple]:
     """Yield (n, words) for n = 1, 2, ..., words a read-only (W, n) matrix of
-    letter indices; stops after max_level or when a level comes up empty."""
+    letter indices; stops after max_level or when a level comes up empty.
+    A level of more than max_words words raises BudgetExceeded before it is
+    built (see automaton.extend_frontier)."""
     alphabet.require_nonempty()
     _warn_unless_free(alphabet, assume_free)
     n_aut = build_interim(alphabet)
     level = start_level(n_aut)
     while max_level is None or level[0].shape[1] < max_level:
-        level = extend_frontier(n_aut, level)
+        level = extend_frontier(n_aut, level, max_words)
         words = level[0]
         yield words.shape[1], words
         if not len(words):

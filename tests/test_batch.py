@@ -23,6 +23,7 @@ from quadcomp import (
     reverse_subset_prune,
 )
 from quadcomp import test_decomposable as decomposable_verdict
+from quadcomp import _batch
 from quadcomp._batch import _Modulus, _embed, from_polys, to_poly
 
 F3 = FiniteField(3)
@@ -280,3 +281,81 @@ def test_degree_1024_in_linear_memory():
         tracemalloc.stop()
     assert got.tolist() == [True, True, False, False]
     assert peak < 8 * 2**20
+
+
+def split_products(field, rng, d, count):
+    """Products of two distinct irreducibles of degree d/2, shifted
+    compositions of accepted words: x^(q^d) = x holds modulo each product,
+    so only the d/2 check rejects it."""
+    maximal = Alphabet.maximal(field)
+    elements = list(field.elements())
+    level = (d // 2).bit_length() - 1
+    polys = []
+    while len(polys) < count:
+        words = chain_words(maximal, rng, level, 2, True) if level else [(), ()]
+        u, v = [pi(w, maximal).shift_argument(rng.choice(elements)) for w in words]
+        if u != v:
+            polys.append(u * v)
+    return polys
+
+
+def test_frobenius_matrix_path_matches_power_path(monkeypatch):
+    rng = random.Random(17)
+    grid = [(field, 2**m) for field in (F3, F5, F7, F9) for m in range(1, 7)]
+    grid += [(FiniteField(p), d) for p in (11, 13) for d in (16, 32)]
+    for field, d in grid:
+        polys = [random_poly(field, rng, d + 1, monic=True) for _ in range(12)]
+        polys += split_products(field, rng, d, 3)
+        if d >= 4:
+            maximal = Alphabet.maximal(field)
+            words = chain_words(maximal, rng, d.bit_length() - 1, 3, True)
+            polys += [pi(w, maximal) for w in words]
+        verdicts = []
+        for use_matrix in (False, True):
+            monkeypatch.setattr(_batch, "_matrix_path", lambda q, d, m=use_matrix: m)
+            verdicts.append(rabin_irreducible_2power(field, from_polys(field, polys)).tolist())
+        power, matrix = verdicts
+        assert power == matrix, (field.q, d)
+        assert not any(matrix[12:15]) and all(matrix[15:]), (field.q, d)
+
+
+def test_frobenius_matrix_chunk_edges(monkeypatch):
+    """Row counts around the matrix path's chunk give the verdicts of the
+    rows checked one at a time."""
+    rng = random.Random(19)
+    for field, d in ((F5, 8), (F9, 4)):
+        step = 16
+        monkeypatch.setattr(_batch, "_Q_ENTRIES", step * d * d)
+        polys = [random_poly(field, rng, d + 1, monic=True) for _ in range(step + 1)]
+        polys[::3] = split_products(field, rng, d, len(polys[::3]))
+        arr = from_polys(field, polys)
+        one_by_one = [rabin_irreducible_2power(field, arr[r : r + 1])[0] for r in range(len(arr))]
+        assert any(one_by_one) and not all(one_by_one)
+        for rows in (1, step - 1, step, step + 1):
+            got = rabin_irreducible_2power(field, arr[:rows])
+            assert got.tolist() == one_by_one[:rows], (field.q, rows)
+
+
+def test_path_selection():
+    for q in (3, 5, 7, 9):
+        for d in (2, 4, 8, 16, 32):
+            assert _batch._matrix_path(q, d), (q, d)
+    assert not _batch._matrix_path(1_000_003, 64)
+    assert not _batch._matrix_path(1_000_003**2, 16)
+    assert not _batch._matrix_path(3, 1024)
+
+
+def test_frobenius_matrix_path_in_bounded_memory():
+    """F_7's 16,807 level-5 rows at d = 32 take the matrix path in chunks of
+    at most _Q_ENTRIES entries of Q; one unchunked Q would take 137 MB."""
+    maximal = Alphabet.maximal(F7)
+    arr = compose_levels(F7, maximal, 5)[5]
+    assert arr.shape == (16807, 33) and _batch._matrix_path(7, 32)
+    tracemalloc.start()
+    try:
+        got = rabin_irreducible_2power(F7, arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(got.sum()) == 1008
+    assert peak < 16 * 2**20

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -400,6 +401,21 @@ def test_enumerate_refuses_a_level_past_the_byte_budget(capsys, monkeypatch):
     rc, out, err = run(capsys, "enumerate", "--q", "29", "-n", "6", "--words")
     assert rc == 4 and out == []
     assert err.startswith("budget exceeded: level ")
+
+
+def test_enumerate_refuses_past_the_output_budget_before_building_the_level(capsys):
+    # level 4 over F_29 holds 48,426 words; building them before the check
+    # took an 11 MB peak
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "enumerate", "--q", "29", "-n", "4", "--words",
+                           "--budget", "10000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (4, [])
+    assert err == "budget exceeded: level 4 holds 48426 words, budget is 10000\n"
+    assert peak < 4 * 2**20
 
 
 def test_test_over_a_large_extension_field(capsys):

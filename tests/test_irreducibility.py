@@ -328,6 +328,61 @@ def test_iter_levels_refuses_a_level_past_the_byte_budget(monkeypatch):
     assert seen == sizes[: level - 1] and words == sizes[level - 1]
 
 
+def test_iter_levels_refuses_past_max_words_before_the_step():
+    # level 4 over F_29 holds 48,426 words; the step to it would gather the
+    # preimages of level 3's 2,814 rows (4.8 MB) and then build the words
+    alph = Alphabet.maximal(FiniteField(29))
+    levels = iter_levels(alph, 4, max_words=10_000)
+    assert [len(next(levels)[1]) for _ in range(3)] == [14, 210, 3150]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="^level 4 holds 48426 words, budget is 10000$"):
+            next(levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10
+
+
+def test_extend_frontier_counts_its_new_rows_in_the_byte_budget(monkeypatch):
+    # over F_101 level 1 holds 50 words of a few bytes each, but 50 resume
+    # rows of 203 bools, each with its key in the numbering dict; level 2
+    # holds 2,550 words, each with its own row
+    n_aut = build_interim(Alphabet.maximal(FiniteField(101)))
+    start = start_level(n_aut)
+    levels = [start]
+    for _ in range(2):
+        levels.append(extend_frontier(n_aut, levels[-1]))
+
+    def words_bytes(level):
+        words, ids, _ = level
+        return words.nbytes + ids.nbytes + 2 * len(ids) * np.dtype(np.intp).itemsize
+
+    rows1, rows2 = levels[1][2], levels[2][2]
+    assert (len(rows1), len(rows2)) == (50, 2550)
+    assert 2 * words_bytes(levels[1]) < rows1.nbytes // 2
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", rows1.nbytes // 2)
+    with pytest.raises(BudgetExceeded, match=r"^level 1 holds 50 words, about 0 of 0 MB$"):
+        extend_frontier(n_aut, start)
+    # the estimate follows each chunk: with one level-1 row per chunk, the
+    # step to level 2 refuses long before it has gathered all 50 rows'
+    # preimages
+    chunks = []
+
+    def counted(*args):
+        for chunk in preimage_ids(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    preimage_ids = automaton._preimage_ids
+    monkeypatch.setattr(automaton, "_preimage_ids", counted)
+    monkeypatch.setattr(automaton, "_GATHER_BYTES", 1)
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", 2 * words_bytes(levels[2]) + rows2.nbytes // 4)
+    with pytest.raises(BudgetExceeded, match=r"^level 2 holds 2550 words"):
+        extend_frontier(n_aut, levels[1])
+    assert 1 < len(chunks) < len(rows1) // 2
+
+
 def test_freedom_warning_on_uncertified_alphabet():
     coll = Alphabet(F3, [MonicQuad(F3.elem(0), F3.elem(0)),
                          MonicQuad(F3.elem(1), F3.elem(0)),
