@@ -10,16 +10,18 @@ reverse_subset_prune reverses N's arrows, determinizes by the subset
 construction from the set of N's accepting states, and keeps only subsets
 containing N's initial state.  The result is a partial DFA M, all of
 whose states are accepting, that accepts exactly the words whose
-composition is irreducible.  lazy_accepts and extend_frontier run the same
-subset simulation without materializing M, by word and by level: a word
-matrix, one resume id per word and the level's distinct rows, M's states.
+composition is irreducible.  Every preimage is a union of N's states with
+equal columns, so the walk holds a subset as one integer key of one bit
+per such class and numbers keys by sorting, with no dict.  lazy_accepts
+and extend_frontier run the same subset simulation without materializing
+M, by word and by level: a word matrix, one resume id per word and the
+level's distinct rows, M's states.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -30,7 +32,8 @@ from .errors import BudgetExceeded, IndexOutOfRange, UnsupportedFormat
 from .finite_field import FieldElement, FiniteField
 from .monoid import Alphabet, MonicQuad
 
-# _preimage_ids gathers at most this many bytes of preimages at once
+# a chunked step (_preimage_ids, _Classes.rows, count_accepted) gathers at
+# most about this many bytes at once
 _GATHER_BYTES = 1 << 24
 
 # N has 2q + 1 states and one row of 2q + 1 targets per letter, so the
@@ -40,13 +43,14 @@ _GATHER_BYTES = 1 << 24
 MAX_INTERIM_Q = 1 << 10
 
 # reverse_subset_prune refuses to hold more than this many bytes of M's
-# table (twice, for the copy that joins its blocks), subset ids and next
-# frontier; extend_frontier refuses a level whose word matrix, ids and
-# np.nonzero indices, with the step's new rows and their ids, pass it.
-# For the maximal alphabet, M has 651,985 states at q = 41 and 2,038,570 at
-# q = 43, about 3.5 times more per prime.  The q = 43 walk peaked at
-# 1,021 MB RSS (2-core x86-64, Python 3.11), and its estimate at 897 MB;
-# q = 53 passes 1 GiB at layer 5, with 4.7 M states, after 14 s.
+# table (twice, for the copy that joins its blocks), sorted subset keys
+# and their ids, and next frontier; extend_frontier refuses a level whose
+# word matrix, ids and np.nonzero indices, with the step's new keys, their
+# numbering and the bool rows they expand to, pass it.  For the maximal
+# alphabet, M has 651,985 states at q = 41 and 2,038,570 at q = 43, about
+# 3.5 times more per prime.  The q = 43 walk took 14-16 s at 799-814 MB
+# peak RSS (2-core x86-64, Python 3.11), and its estimate peaked at
+# 717 MB; q = 47 passes 1 GiB at layer 6, with 4.9 M states, after 28 s.
 MAX_WALK_BYTES = 1 << 30
 
 @dataclass(frozen=True)
@@ -244,47 +248,161 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     N's accepting states; a subset accepts iff it contains N's initial
     state, and only accepting subsets are kept.
 
-    Each BFS layer, an (F, n) bool array, takes one pass of _preimage_ids,
-    which numbers subsets in the order a queue-driven walk meets them.  Each
-    chunk writes a block of M's table; past MAX_WALK_BYTES of table, ids and
-    next layer, estimated after each chunk, the walk raises BudgetExceeded.
+    Every preimage is a union of N's column classes (see _Classes), so a
+    subset past the start is one integer key of one bit per class.  Each
+    BFS layer takes one pass of _preimage_ids, which numbers keys in the
+    order a queue-driven walk meets them.  Each chunk writes a block of M's
+    table; past MAX_WALK_BYTES of table, keys, ids and next layer,
+    estimated after each chunk, the walk raises BudgetExceeded.
     """
+    classes = _Classes(n_aut)
     frontier = n_aut.accepting_mask[None, :]
-    ids = {_pack(frontier).item(): 0}
+    known = _Numbering(classes.key_of(n_aut.accepting_mask))
     blocks = []  # M's table, flattened, one block per chunk
     layer = 0
     while len(frontier):
         layer += 1
         fresh = []
-        for block, new_rows in _preimage_ids(n_aut, frontier, ids):
+        for block, new_keys in _preimage_ids(classes, frontier, known):
             blocks.append(block)
-            fresh.append(new_rows)
-            held = _step_bytes(blocks, fresh, ids)
+            fresh.append(new_keys)
+            held = _step_bytes(blocks, fresh, known)
             if held > MAX_WALK_BYTES:
                 raise BudgetExceeded("subset walk at layer %d holds %d states, about %d of %d MB"
-                                     % (layer, len(ids), held >> 20, MAX_WALK_BYTES >> 20))
+                                     % (layer, known.count, held >> 20, MAX_WALK_BYTES >> 20))
         frontier = np.concatenate(fresh)
     table = np.concatenate(blocks).reshape(-1, len(n_aut.alphabet))
-    return PartialDfa(n_aut.field, n_aut.alphabet, len(ids), table)
+    return PartialDfa(n_aut.field, n_aut.alphabet, known.count, table)
 
 
-def _preimage_ids(n_aut: InterimAutomaton, frontier: np.ndarray, ids: dict):
-    """Number the preimages of `frontier`'s rows under every letter that hold
-    N's initial state through the dict `ids`, in order of first appearance,
-    gathering at most _GATHER_BYTES at once.  Yields per chunk its ids in (row, letter) order,
-    -1 for the other preimages, and the preimages it numbered first."""
-    chunk = max(1, _GATHER_BYTES // n_aut.rows.size)
+class _Classes:
+    """N's states grouped by their columns of `rows`.
+
+    States with equal columns, such as <v> and (v), or v and 2a - v when
+    every letter has the same a, go to the same state under every letter,
+    so a preimage holds all of a class or none of it.  The classes come
+    from `rows` alone, so they hold for merged and loaded machines too.  A
+    preimage is one bit per class, packed into a uint64 key when the bits
+    fit in 8 bytes and into fixed-width bytes otherwise.  The bits are
+    padded with zeros to 1, 2, 4 or 8 bytes (past 8, to whole bytes), so a
+    chunk's rows pack in one flat np.packbits and view as integers: packing
+    rows of 2-3 bytes along axis 1 took 20-90 times as long.  A kept preimage
+    holds the class of N's initial state, so its key is never zero.
+    """
+
+    def __init__(self, n_aut: InterimAutomaton):
+        cols = np.ascontiguousarray(n_aut.rows.T)
+        cols = cols.view(np.dtype((np.void, cols.shape[1] * cols.itemsize))).ravel()
+        _, self.rep, of_state = np.unique(cols, return_index=True, return_inverse=True)
+        self.of_state = of_state.ravel()
+        self.n_classes = len(self.rep)
+        width = -(-self.n_classes // 8)
+        # the packed bits, padded to 1, 2, 4 or 8 bytes, widen to uint64
+        self.packed = next((np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                            if np.dtype(t).itemsize >= width), np.dtype((np.void, width)))
+        self.dtype = np.dtype(np.uint64) if width <= 8 else self.packed
+        pad = 8 * self.packed.itemsize - self.n_classes
+        # [j, c]: the j-successor of class c's states, and its class; the
+        # padding columns read state 0 and are cleared after each gather
+        self.on_states = np.pad(n_aut.rows[:, self.rep], ((0, 0), (0, pad)))
+        self.on_classes = self.of_state[self.on_states]
+        self.initial = self.of_state[0]
+
+    def keys(self, bits: np.ndarray) -> np.ndarray:
+        """One key per row of padded class bits."""
+        return np.packbits(bits, bitorder="little").view(self.packed).astype(self.dtype, copy=False)
+
+    def bits(self, keys: np.ndarray) -> np.ndarray:
+        """The padded class bits of each key, one bool row per key."""
+        packed = keys.astype(self.packed, copy=False).view(np.uint8)
+        bits = np.unpackbits(packed, bitorder="little").view(bool)
+        return bits.reshape(len(keys), 8 * self.packed.itemsize)
+
+    def key_of(self, states: np.ndarray) -> np.ndarray:
+        """The key of a bool row over N's states, as a 1-element array: its
+        own if the row is a union of classes, else the zero key, which no
+        kept preimage has."""
+        bits = np.zeros(8 * self.packed.itemsize, dtype=bool)
+        if np.array_equal(states[self.rep][self.of_state], states):
+            bits[: self.n_classes] = states[self.rep]
+        return self.keys(bits)
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """One bool row over N's states per key, expanded a chunk at a time
+        into one array."""
+        out = np.empty((len(keys), len(self.of_state)), dtype=bool)
+        step = max(1, _GATHER_BYTES // out.shape[1])
+        for lo in range(0, len(keys), step):
+            np.take(self.bits(keys[lo : lo + step]), self.of_state, axis=1, out=out[lo : lo + step],
+                    mode="clip")
+        return out
+
+
+class _Numbering:
+    """Ids of keys, with no dict: the keys numbered so far, sorted, and
+    their ids."""
+
+    def __init__(self, keys: np.ndarray):
+        # at most one key to start from, so already sorted
+        self.keys, self.ids = keys, np.arange(len(keys), dtype=np.int32)
+        self.count = len(keys)
+        self.scratch = 0  # bytes of the last chunk's distinct keys and their first indices
+
+    @property
+    def nbytes(self) -> int:
+        """Its keys and ids, twice, as each insert copies them, and the last
+        chunk's distinct keys and their first indices."""
+        return 2 * (self.keys.nbytes + self.ids.nbytes) + self.scratch
+
+    def number(self, keys: np.ndarray) -> tuple:
+        """The id of each key, numbering the unseen ones from `count` on in
+        order of first appearance, and those new keys in id order."""
+        # np.unique's stable sort finds first indices 5-fold slower than
+        # the default sort and a minimum over each run of equal keys
+        order = np.argsort(keys)
+        ordered = keys[order]
+        head = np.ones(len(keys), dtype=bool)
+        head[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(head)
+        uniq = ordered[starts]
+        first = np.minimum.reduceat(order, starts) if len(keys) else starts
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(head) - 1
+        self.scratch = uniq.nbytes + first.nbytes
+        at = np.searchsorted(self.keys, uniq)
+        seen = at < len(self.keys)
+        seen[seen] = self.keys[at[seen]] == uniq[seen]
+        ids = np.empty(len(uniq), dtype=np.int32)
+        ids[seen] = self.ids[at[seen]]
+        new = np.flatnonzero(~seen)
+        in_order = new[np.argsort(first[new])]
+        ids[in_order] = np.arange(self.count, self.count + len(new))
+        self.count += len(new)
+        self.keys = np.insert(self.keys, at[new], uniq[new])
+        self.ids = np.insert(self.ids, at[new], ids[new])
+        return ids[inverse], uniq[in_order]
+
+
+def _preimage_ids(classes: _Classes, frontier: np.ndarray, known: _Numbering):
+    """Number the preimages of `frontier` under every letter that hold N's
+    initial state through `known`, gathering at most _GATHER_BYTES of class
+    bits at once.  The frontier is bool rows over N's states, or keys.
+    Yields per chunk its ids in (row, letter) order, -1 for the other
+    preimages, and the keys it numbered first."""
+    on_rows = frontier.ndim == 2
+    index = classes.on_states if on_rows else classes.on_classes
+    chunk = max(1, _GATHER_BYTES // index.size)
     # an empty frontier still yields one, empty, chunk: an empty level steps to an empty one
     for lo in range(0, len(frontier) or 1, chunk):
-        pre = frontier[lo : lo + chunk][:, n_aut.rows].reshape(-1, n_aut.n_states)
-        keep = pre[:, 0]  # the preimage holds N's initial state
-        pre = pre[keep]
-        n_before = len(ids)
+        bits = frontier[lo : lo + chunk]
+        if not on_rows:
+            bits = classes.bits(bits)
+        pre = np.take(bits, index, axis=1).reshape(-1, index.shape[1])
+        pre[:, classes.n_classes :] = False  # the padding
+        keep = pre[:, classes.initial]  # the preimage holds N's initial state
         block = np.full(len(keep), -1, dtype=np.int32)
-        block[keep] = [ids.setdefault(key, len(ids)) for key in _pack(pre).tolist()]
-        # ids from n_before on are new; they ascend in order of first appearance
-        got_ids, first = np.unique(block[keep], return_index=True)
-        yield block, pre[first[got_ids >= n_before]]
+        block[keep], new_keys = known.number(classes.keys(pre[keep]))
+        yield block, new_keys
 
 
 def start_level(n_aut: InterimAutomaton) -> tuple:
@@ -303,11 +421,12 @@ def extend_frontier(
     indices in lexicographic order; int32 `ids`, one per word; and `rows`,
     the level's distinct resume rows, indexed by `ids`: the sets of N's states
     that lazy_first_failure holds after reading a word, so states of M.  The
-    rows take the subset walk's step once.  A level that would hold more than
-    max_words words raises BudgetExceeded before the step, and one whose
-    arrays, with the step's new rows and their ids, would pass
-    MAX_WALK_BYTES raises it as soon as the estimate does: before any new
-    word exists."""
+    rows take the subset walk's step once, and its new keys expand once into
+    the next level's rows.  A level that would hold more than max_words
+    words raises BudgetExceeded before the step, and one whose arrays, with
+    the step's new keys, their numbering and the rows they expand to, would
+    pass MAX_WALK_BYTES raises it as soon as the estimate does: before any
+    new word exists."""
     words, ids, rows = level
     n = words.shape[1] + 1
     # letter j is viable after a word iff its row holds the j-successor of
@@ -327,37 +446,30 @@ def extend_frontier(
     check(words_held)
     if max_words is not None and n_words > max_words:
         raise BudgetExceeded("level %d holds %d words, budget is %d" % (n, n_words, max_words))
-    blocks, fresh, seen = [], [], {}
-    for block, new_rows in _preimage_ids(n_aut, rows, seen):
+    classes = _Classes(n_aut)
+    blocks, fresh, seen = [], [], _Numbering(np.empty(0, dtype=classes.dtype))
+    for block, new_keys in _preimage_ids(classes, rows, seen):
         blocks.append(block)
-        fresh.append(new_rows)
-        check(words_held + _step_bytes(blocks, fresh, seen))
-    del seen  # free the numbering's keys before the join copies the rows
+        fresh.append(new_keys)
+        # each new key becomes one bool row over N's states
+        check(words_held + _step_bytes(blocks, fresh, seen) + seen.count * n_aut.n_states)
     nxt = np.concatenate(blocks).reshape(-1, len(n_aut.alphabet))[ids]
+    del blocks, seen  # free the step's table and numbering before the rows expand
     r, j = np.nonzero(nxt >= 0)  # in (word, letter) order, which keeps the words sorted
     new_words = np.column_stack((words[r], j.astype(words.dtype)))
-    return _read_only(new_words, nxt[r, j], np.concatenate(fresh))
+    return _read_only(new_words, nxt[r, j], classes.rows(np.concatenate(fresh)))
 
 
-def _step_bytes(blocks: list, fresh: list, ids: dict) -> int:
+def _step_bytes(blocks: list, fresh: list, known: _Numbering) -> int:
     """Bytes a subset step holds: its table blocks, twice, as joining them
-    copies the whole table; its fresh rows; and the ids dict, each entry
-    with its bytes key and an int (32 bytes past 2**30)."""
-    per_id = sys.getsizeof(next(iter(ids))) + sys.getsizeof(1 << 30) if ids else 0
-    return (2 * sum(b.nbytes for b in blocks) + sum(f.nbytes for f in fresh)
-            + sys.getsizeof(ids) + len(ids) * per_id)
+    copies the whole table; its new keys; and the arrays of its numbering."""
+    return 2 * sum(b.nbytes for b in blocks) + sum(f.nbytes for f in fresh) + known.nbytes
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
     for array in arrays:
         array.setflags(write=False)
     return arrays
-
-
-def _pack(rows: np.ndarray) -> np.ndarray:
-    """One fixed-width byte key per bool row; `tolist()` gives hashable bytes."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def accepts(m_aut: PartialDfa, word: Sequence[int]) -> bool:
@@ -404,17 +516,26 @@ def count_accepted(m_aut: PartialDfa, n: int) -> int:
     the side with the smaller bound steps next, in int64, while that bound
     stays below 2**63.  Once both bounds reach 2**63 the remaining steps go
     forward in object arrays of Python ints, which stay exact past 2**63.
-    The dot product is taken in Python ints.
+    The dot product is taken in Python ints.  A step gathers the counts of
+    at most _GATHER_BYTES // 8 edges at once, a span of states at a time.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
     table = m_aut.table
     defined = table >= 0
     degree = np.count_nonzero(defined, axis=1)
-    tgt = table.ravel().compress(defined.ravel())
     out_degree = int(degree.max())
     nonempty = degree > 0
-    starts = (np.cumsum(degree) - degree)[nonempty]
+    starts = np.cumsum(degree) - degree
+    per_span = max(1, _GATHER_BYTES // (8 * max(1, out_degree)))
+    spans = [(lo, min(lo + per_span, m_aut.n_states))
+             for lo in range(0, m_aut.n_states, per_span)]
+    spans = [(lo, hi, int(starts[lo]), int(starts[hi - 1] + degree[hi - 1])) for lo, hi in spans]
+    tgt = np.empty(spans[-1][3], dtype=table.dtype)
+    for lo, hi, e0, e1 in spans:
+        # compress builds an index array of 8 bytes an edge, so one span at a time
+        np.compress(defined[lo:hi].ravel(), table[lo:hi], out=tgt[e0:e1])
+    del defined
     fwd = np.zeros(m_aut.n_states, dtype=np.int64)
     fwd[m_aut.start] = 1
     bwd = np.ones(m_aut.n_states, dtype=np.int64)
@@ -425,11 +546,15 @@ def count_accepted(m_aut: PartialDfa, n: int) -> int:
             fwd = fwd.astype(object)
         if fwd.dtype == object or fwd_bound <= bwd_bound:
             nxt = np.zeros_like(fwd)
-            np.add.at(nxt, tgt, np.repeat(fwd, degree))
+            for lo, hi, e0, e1 in spans:
+                np.add.at(nxt, tgt[e0:e1], np.repeat(fwd[lo:hi], degree[lo:hi]))
             fwd = nxt
         else:
             nxt = np.zeros_like(bwd)
-            nxt[nonempty] = np.add.reduceat(bwd[tgt], starts)
+            for lo, hi, e0, e1 in spans:
+                if e1 > e0:
+                    got = nonempty[lo:hi]
+                    nxt[lo:hi][got] = np.add.reduceat(bwd[tgt[e0:e1]], starts[lo:hi][got] - e0)
             bwd = nxt
     both = (fwd != 0) & (bwd != 0)
     return sum(map(operator.mul, fwd[both].tolist(), bwd[both].tolist()))

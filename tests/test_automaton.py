@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from collections import deque
 from itertools import product
 
@@ -432,12 +434,126 @@ def test_subset_walk_counts_the_copy_that_joins_its_table(monkeypatch):
     assert reverse_subset_prune(n_aut) == m
 
 
+def random_interim(rng, n_letters, n_states):
+    """An InterimAutomaton with arbitrary targets and accepting flags.  Its
+    columns come from a small pool, so states often share a column."""
+    letters = [MonicQuad(F7.elem(a), F7.elem(b))
+               for a, b in rng.sample(list(product(range(7), repeat=2)), n_letters)]
+    pool = [[rng.randrange(n_states) for _ in range(n_letters)]
+            for _ in range(rng.randint(1, n_states))]
+    cols = [rng.choice(pool) for _ in range(n_states)]
+    states = [NState("initial", None)] + [NState("reg", F7.elem(s)) for s in range(1, n_states)]
+    accepting = [rng.random() < 0.5 for _ in range(n_states)]
+    return InterimAutomaton(F7, Alphabet(F7, letters), states, accepting,
+                            [[col[j] for col in cols] for j in range(n_letters)])
+
+
+def start_is_keyed(n_aut):
+    """Whether N's accepting states are a union of its column classes, so
+    that the walk's start subset has its own key."""
+    classes = automaton._Classes(n_aut)
+    return bool(classes.key_of(n_aut.accepting_mask).view(np.uint8).any())
+
+
+def test_integer_key_walk_matches_queue_walk_on_arbitrary_interim_automata():
+    rng = random.Random(1809)
+    keyed = sentinel = shared = 0
+    for _ in range(200):
+        n_aut = random_interim(rng, rng.randint(1, 4), rng.randint(1, 11))
+        assert_same_walk(n_aut)
+        classes = automaton._Classes(n_aut)
+        shared += classes.n_classes < n_aut.n_states
+        if start_is_keyed(n_aut):
+            keyed += 1
+        else:
+            sentinel += 1
+    assert keyed > 20 and sentinel > 20 and shared > 100
+
+
+def test_integer_key_walk_matches_queue_walk_when_the_letters_share_an_a():
+    rng = random.Random(1810)
+    for field in (F7, F9, FiniteField(11), FiniteField(13), FiniteField(17)):
+        elems = list(field.elements())
+        a = rng.choice(elems[1:])
+        for n_letters in (2, 3, 5):
+            alph = Alphabet(field, [MonicQuad(a, b) for b in rng.sample(elems, n_letters)])
+            n_aut = build_interim(alph)
+            # <v>, (v), <2a - v> and (2a - v) share one class
+            assert automaton._Classes(n_aut).n_classes == (field.q + 1) // 2 + 1
+            assert_same_walk(n_aut)
+
+
+def test_integer_key_walk_matches_queue_walk_on_keys_wider_than_64_bits():
+    # two letters with different a: only <v> and (v) share a class, so a
+    # key takes q + 1 bits; M has 1,222, 2,165 and 315 states
+    for q, letters in ((67, [(36, 53), (17, 37)]), (67, [(9, 23), (52, 28)]),
+                       (101, [(1, 60), (5, 97)])):
+        field = FiniteField(q)
+        alph = Alphabet(field, [MonicQuad(field.elem(a), field.elem(b)) for a, b in letters])
+        n_aut = build_interim(alph)
+        assert automaton._Classes(n_aut).dtype.kind == "V"  # packed bytes, not a uint64
+        assert assert_same_walk(n_aut).n_states >= 315
+
+
+# SHA-256 of M's table, taken from the walk that numbered packed bool rows
+# through a dict, and whether the start subset is a union of column classes
+M_TABLE_SHA256 = [
+    (19, False, 518, "1c61b13114a86ca75e0f749136d73e72d76ab421b6d1ab2fb17cf1f3fec6034a", False),
+    (23, False, 2060, "951bed7e35e5166234fd87e8a85950d6d0a564386f7a558ab34681f88c7a62f0", False),
+    (29, False, 14241, "5ed087d401c33b5f05bbf2f14d0c42607f58c3f8a661fcb12bfc3ef6511e19e6", True),
+    (31, False, 32533, "20fe9602e2a2cd57efe8e97bb8f43048e28524a7f63150582e328954342994c2", False),
+    # merged, the initial state shares its column with (0), which rejects
+    (29, True, 14241, "5ed087d401c33b5f05bbf2f14d0c42607f58c3f8a661fcb12bfc3ef6511e19e6", False),
+]
+
+
+def test_integer_key_walk_keeps_m_for_the_maximal_alphabets():
+    for q, merged, n_states, digest, keyed in M_TABLE_SHA256:
+        n_aut = build_interim(Alphabet.maximal(FiniteField(q)))
+        if merged:
+            n_aut = merge_dist_reg(n_aut)
+        m = reverse_subset_prune(n_aut)
+        assert (m.n_states, hashlib.sha256(m.table.data).hexdigest()) == (n_states, digest), q
+        assert start_is_keyed(n_aut) == keyed, (q, merged)
+
+
+def test_subset_walk_over_f29_in_bounded_memory():
+    # numbering packed bool rows through a dict peaked at 36.7 MB; integer
+    # keys peak at 14.0 MB, most of it one chunk's gather
+    n_aut = build_interim(Alphabet.maximal(FiniteField(29)))
+    tracemalloc.start()
+    try:
+        m = reverse_subset_prune(n_aut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.n_states == 14241
+    assert peak < 18 * 2**20
+
+
 def test_count_accepted_is_exact_past_two_to_the_63():
     field = FiniteField(29)
     loops = PartialDfa(field, Alphabet.maximal(field), 1, {(0, j): 0 for j in range(29)})
     assert count_accepted(loops, 20) == 29**20 > 2**63
     assert type(count_accepted(loops, 20)) is int
     assert count_accepted(loops, 0) == 1
+
+
+def test_count_accepted_counts_the_same_one_span_of_states_at_a_time(monkeypatch):
+    # at 1 byte a span holds one state; at 100 and 1000 bytes a step gathers
+    # a few spans, some of whose states have no edges
+    rng = random.Random(4343)
+    automata = [reverse_subset_prune(build_interim(Alphabet.maximal(field))) for field in (F7, F9)]
+    for _ in range(10):
+        n = rng.randrange(1, 30)
+        trans = {(s, j): rng.randrange(n) for s in range(n) for j in range(3) if rng.random() < 0.4}
+        automata.append(PartialDfa(F3, Alphabet.maximal(F3), n, trans, start=rng.randrange(n)))
+    lengths = (0, 1, 5, 12, 40)  # F_9 passes 2**63 before n = 40
+    want = [[count_accepted(m, n) for n in lengths] for m in automata]
+    assert want[1][-1] > 2**63
+    for gather_bytes in (1, 100, 1000):
+        monkeypatch.setattr(automaton, "_GATHER_BYTES", gather_bytes)
+        assert [[count_accepted(m, n) for n in lengths] for m in automata] == want
 
 
 def test_count_accepted_without_edges():

@@ -1,6 +1,8 @@
 import random
+import re
 from itertools import product
 
+import numpy as np
 import pytest
 
 from quadcomp import (
@@ -107,6 +109,18 @@ def test_word_parse_and_format():
         alph.check_word((0, 2))
     with pytest.raises(EmptyAlphabet):
         Alphabet(F5, []).require_nonempty()
+
+
+def test_check_word_refuses_exactly_what_is_not_an_int_letter_index():
+    alph = example_alphabet()
+    assert alph.check_word([1, 0, 1]) == (1, 0, 1)
+    assert alph.check_word(iter(())) == ()
+    assert alph.check_word((True, False)) == (True, False)  # bool is an int
+    for bad, word in [(-1, (0, -1)), (2, (2, 0)), (1.0, (0, 1.0)), (np.int64(1), (0, np.int64(1))),
+                      ("1", (1, "1")), (7, (1, 7, "x"))]:
+        with pytest.raises(IndexOutOfRange, match=r"^letter index %s out of range$"
+                           % re.escape(repr(bad))):
+            alph.check_word(word)
 
 
 def test_pi_morphism():
