@@ -25,15 +25,23 @@ proper factor degree would divide d/2.  The kernel reaches x^(q^j) one of
 two ways, chosen per call from q and d by counted operations
 (_matrix_path):
 
-- The power path, for large q or d > 64: x^(q^(d/2)) by binary powering
-  with Newton reduction, (d/2)*log2(q) squarings, then x^(q^d) as one
-  Brent-Kung composition.  A chunk holds O(rows * d) numbers.
+- The power path, for large q or d > 64.  As the coefficients lie in F_q,
+  Y = x^(q^j) mod f gives Y(Y) = x^(q^(2j)) mod f (von zur Gathen and
+  Shoup), and a Brent-Kung composition takes about 2*sqrt(d) products.
+  So x^(q^j) comes from binary powering with Newton reduction while j is
+  small enough that doubling it costs fewer squarings than a composition
+  (_power_reach: j = 1 at large q), and compositions double j to d/2;
+  one more gives x^(q^d).  A chunk holds O(rows * d) numbers: at most
+  _BLOCK powers of its rows.
 - The Frobenius-matrix path (Berlekamp's Q), for small q and d <= 64.  As
   the coefficients lie in F_q, g^q mod f = Q g, where column i of Q is
   x^(iq) mod f; so x^(q^j) = Q^j x takes j mat-vecs, d in all.  Every
   sum stays below d*((p-1)/2)^2 as in an FFT product, so exactness is the
-  same.  A chunk holds at most 2^18 entries of Q, so rows = 2^18 // d^2,
-  whatever d.
+  same.  Where that bound, twice it for F_{p^2}, is below 2^22 (p up to
+  509 at d = 64 and 719 at d = 32, and every F_{p^2} the path takes), the
+  path runs in float32 (complex64), which halves the bytes each mat-vec
+  reads and stays exact (_F32_EXACT).  A chunk holds at most
+  2^18 entries of Q, so rows = 2^18 // d^2, whatever d.
 """
 
 from __future__ import annotations
@@ -57,7 +65,14 @@ _PRODUCT_WEIGHT = 36
 # spreads one call over threads; on a loaded host those calls were seen
 # taking milliseconds instead of microseconds.
 _MATRIX_MAX_D = 64
-_BLOCK = 8  # most powers of Y kept by _compose_mod
+# Most powers of Y that _compose_mod keeps (see _block): 32 from d = 512 on,
+# 16 MiB at 64 rows of d = 1024; past that, memory stays linear in d.
+_BLOCK = 32
+# _balance divides by p through a reciprocal rounded to the array's dtype.
+# In float32 (24-bit significand) the error in v/p, about |v|/p * 2^-23,
+# stays below the 1/(2p) gap to the nearest rounding boundary, so v rounds
+# to its residue, only while |v| < 2^22.
+_F32_EXACT = 1 << 22
 
 
 def _mode_is_complex(field: FiniteField) -> bool:
@@ -72,11 +87,13 @@ def _mode_is_complex(field: FiniteField) -> bool:
 
 
 def _balance(arr, p):
-    """Round an array to integers and balance them mod p (a new array).
+    """Round an array to integers and balance them mod p (a new array), in
+    its own dtype; exact while every entry is below _F32_EXACT in float32
+    and 2^52 in float64.
 
     Complex entries are handled as (real, imag) pairs of floats, which
     needs the last axis to be contiguous."""
-    flat = np.rint(arr.view(np.float64))
+    flat = np.rint(arr.view(arr.real.dtype))
     t = flat * (1.0 / p)
     np.rint(t, out=t)
     t *= p
@@ -227,25 +244,33 @@ def _pow_x(e, mod):
     return acc
 
 
+def _block(d):
+    """_compose_mod's block k for degree d = 2^m: 2^ceil(m/2), the power of
+    2 at or above sqrt(d), at most _BLOCK."""
+    return min(_BLOCK, 1 << (d.bit_length() // 2))
+
+
 def _compose_mod(Y, mod):
     """Y(Y) modulo the row polynomials (Brent & Kung).
 
-    Y is cut into blocks of k coefficients, each block is evaluated at Y
-    from the kept powers Y^0..Y^(k-1), and the blocks are joined by Horner
-    in Y^k: k - 1 + d/k - 1 products instead of d - 1.  With k <= _BLOCK
-    the powers cost O(rows * d) memory.
+    Y is cut into blocks of k = _block(d) coefficients, each block is
+    evaluated at Y as one mat-vec against the kept powers Y^0..Y^(k-1), and
+    the blocks are joined by Horner in Y^k: k - 1 + d/k - 1 products instead
+    of d - 1.  The powers take k * rows * d numbers.
     """
     d, p = mod.d, mod.p
-    k = min(_BLOCK, 1 << (d.bit_length() // 2))
+    k = _block(d)
     y_hat = mod.hat(Y)
-    powers = [np.zeros_like(Y), Y]
-    powers[0][:, 0] = 1.0
-    while len(powers) <= k:
-        powers.append(mod.mulmod(powers[-1], y_hat))
-    yk_hat = mod.hat(powers.pop())
+    powers = np.zeros((len(Y), k, d), dtype=Y.dtype)
+    powers[:, 0, 0] = 1.0
+    power = Y
+    for i in range(1, k):
+        powers[:, i] = power
+        power = mod.mulmod(power, y_hat)
+    yk_hat = mod.hat(power)
 
-    def block(j):
-        return sum(Y[:, j + i : j + i + 1] * powers[i] for i in range(k))
+    def block(j):  # np.einsum's own loop: no BLAS threads at large k * d
+        return np.einsum("rk,rkn->rn", Y[:, j : j + k], powers)
 
     Z = _balance(block(d - k), p)
     for j in range(d - 2 * k, -1, -k):
@@ -253,9 +278,27 @@ def _compose_mod(Y, mod):
     return Z
 
 
+def _power_reach(q, d):
+    """The j for which the power path reaches x^(q^j) by binary powering,
+    before compositions double j to d/2.
+
+    As Y = x^(q^j) gives Y(Y) = x^(q^(2j)), each doubling of j costs either
+    j*log2(q) more squarings or one composition of k - 1 + d/k - 1
+    products, k = _block(d); powering goes on while it is the cheaper."""
+    k = _block(d)
+    j = 1
+    while 2 * j < d and j * math.log2(q) <= k + d // k - 2:
+        j *= 2
+    return j
+
+
 def _rabin_power_chunk(f_low, q, p, cplx):
     mod = _Modulus(f_low, p, cplx)
-    y = _pow_x(q ** (mod.d // 2), mod)
+    j = _power_reach(q, mod.d)
+    y = _pow_x(q**j, mod)
+    while 2 * j < mod.d:
+        y = _compose_mod(y, mod)
+        j *= 2
     x_arr = np.zeros_like(y)
     x_arr[:, 1] = 1.0
     moved = ~np.all(y == x_arr, axis=1)
@@ -265,15 +308,17 @@ def _rabin_power_chunk(f_low, q, p, cplx):
 
 
 def _vecmat(v, M):
-    """Row-wise products v @ M of (rows, 1, k) and (rows, k, n) arrays.
+    """Row-wise products v @ M of (rows, 1, k) and (rows, k, n) arrays, in
+    M's dtype: float32 or float64, complex64 or complex128.
 
-    Complex rows are multiplied as [re; im] @ M viewed as floats, whose
-    columns interleave (re, im): real matrix products stay on the BLAS
-    sizes that run on one thread, where a complex mat-vec of 64 x 64 can
-    wake threads that cost milliseconds a call on a loaded host."""
+    Complex rows are multiplied as [re; im] @ M viewed as floats of M's
+    own precision, whose columns interleave (re, im): real matrix products
+    stay on the BLAS sizes that run on one thread, where a complex mat-vec
+    of 64 x 64 can wake threads that cost milliseconds a call on a loaded
+    host."""
     if not np.iscomplexobj(M):
         return np.matmul(v, M)
-    w = np.matmul(np.concatenate([v.real, v.imag], axis=1), M.view(np.float64))
+    w = np.matmul(np.concatenate([v.real, v.imag], axis=1), M.view(M.real.dtype))
     out = np.empty((len(M), 1, M.shape[2]), dtype=M.dtype)
     out.real = w[:, :1, 0::2] - w[:, 1:, 1::2]
     out.imag = w[:, :1, 1::2] + w[:, 1:, 0::2]
@@ -311,9 +356,21 @@ def _frobenius_matrices(f_low, q, p):
     return qt
 
 
+def _narrow(f_low, p):
+    """f_low as float32 (complex64) when the matrix path's sums stay exact
+    there: every sum is at most c*d*((p-1)/2)^2, c = 2 for complex rows,
+    and below _F32_EXACT _balance rounds it to its residue."""
+    c = 2 if np.iscomplexobj(f_low) else 1
+    if c * f_low.shape[1] * ((p - 1) // 2) ** 2 < _F32_EXACT:
+        return f_low.astype(np.complex64 if c == 2 else np.float32)
+    return f_low
+
+
 def _rabin_matrix_chunk(f_low, q, p):
     """x^(q^j) = Q^j x by d mat-vecs, balanced after each, so every sum
-    stays below d*((p-1)/2)^2 as in a product of the power path."""
+    stays below d*((p-1)/2)^2 as in a product of the power path; in
+    float32 where _narrow finds that exact."""
+    f_low = _narrow(f_low, p)
     qt = _frobenius_matrices(f_low, q, p)
     d = f_low.shape[1]
     x_arr = np.zeros((len(f_low), 1, d), dtype=f_low.dtype)
@@ -331,10 +388,12 @@ def _matrix_path(q, d):
     """Whether rows of degree d over F_q take the Frobenius-matrix path.
 
     Per row, the matrix path takes q shift steps of d entries to build its
-    fold and d mat-vecs of d^2 terms; the power path takes (d/2)*log2(q)
+    fold and d mat-vecs of d^2 terms.  The power path is priced as it was
+    when the weights were fitted, by binary powering: (d/2)*log2(q)
     squarings and 2*sqrt(d) composition products of about d*log2(2d) terms
-    each.  _SHIFT_WEIGHT and _PRODUCT_WEIGHT price a shift entry and a
-    product term in mat-vec terms."""
+    each; composition now spares most of those squarings (_power_reach).
+    _SHIFT_WEIGHT and _PRODUCT_WEIGHT price a shift entry and a product
+    term in mat-vec terms."""
     if d > _MATRIX_MAX_D:
         return False
     matrix = _SHIFT_WEIGHT * q * d + d**3

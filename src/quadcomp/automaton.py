@@ -112,6 +112,12 @@ class InterimAutomaton:
         """`accepting_mask` as a tuple of bools; derived on first use and kept."""
         return tuple(self.accepting_mask.tolist())
 
+    @cached_property
+    def classes(self) -> "_Classes":
+        """N's states grouped by equal columns of `rows`, which every subset
+        walk steps through; derived on first use and kept."""
+        return _Classes(self)
+
     def labels(self) -> list:
         return [st.label() for st in self.states]
 
@@ -248,14 +254,14 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     N's accepting states; a subset accepts iff it contains N's initial
     state, and only accepting subsets are kept.
 
-    Every preimage is a union of N's column classes (see _Classes), so a
+    Every preimage is a union of N's column classes (`n_aut.classes`), so a
     subset past the start is one integer key of one bit per class.  Each
     BFS layer takes one pass of _preimage_ids, which numbers keys in the
     order a queue-driven walk meets them.  Each chunk writes a block of M's
     table; past MAX_WALK_BYTES of table, keys, ids and next layer,
     estimated after each chunk, the walk raises BudgetExceeded.
     """
-    classes = _Classes(n_aut)
+    classes = n_aut.classes
     frontier = n_aut.accepting_mask[None, :]
     known = _Numbering(classes.key_of(n_aut.accepting_mask))
     blocks = []  # M's table, flattened, one block per chunk
@@ -446,7 +452,7 @@ def extend_frontier(
     check(words_held)
     if max_words is not None and n_words > max_words:
         raise BudgetExceeded("level %d holds %d words, budget is %d" % (n, n_words, max_words))
-    classes = _Classes(n_aut)
+    classes = n_aut.classes
     blocks, fresh, seen = [], [], _Numbering(np.empty(0, dtype=classes.dtype))
     for block, new_keys in _preimage_ids(classes, rows, seen):
         blocks.append(block)

@@ -1090,3 +1090,29 @@ def test_renderers_list_exactly_the_edges_in_order():
         assert text_edges == edges
         kinds.add((type(aut).__name__, getattr(aut, "merged", None)))
     assert len(kinds) == 3
+
+
+def test_levels_build_n_column_classes_once(monkeypatch):
+    """N's column classes are derived once and kept on N, so the level walk
+    does not redo their np.unique at every level; its levels stay those of
+    a walk that rebuilt them each time (sizes and SHA-256 taken there)."""
+    built = []
+    real = automaton._Classes
+
+    def counting(n_aut):
+        built.append(n_aut)
+        return real(n_aut)
+
+    monkeypatch.setattr(automaton, "_Classes", counting)
+    digest = hashlib.sha256()
+    sizes = []
+    for _, words in irreducibility.iter_levels(Alphabet.maximal(FiniteField(5)), 6):
+        sizes.append(len(words))
+        digest.update(np.ascontiguousarray(words, dtype=np.int64).tobytes())
+    assert len(built) == 1
+    assert sizes == [2, 6, 18, 62, 250, 1126]
+    assert digest.hexdigest() == "4a7c2acd11d2c8b473f826aef34b2d31d56cb2321d7eb529a5cd4d2d8d809a8f"
+    n_aut = built[0]
+    assert n_aut.classes is n_aut.classes
+    reverse_subset_prune(n_aut)
+    assert len(built) == 1

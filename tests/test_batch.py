@@ -359,3 +359,154 @@ def test_frobenius_matrix_path_in_bounded_memory():
         tracemalloc.stop()
     assert int(got.sum()) == 1008
     assert peak < 16 * 2**20
+
+
+BIG = FiniteField(1_000_003)
+
+
+def composition_rows(field, rng, d):
+    """One chain-certified irreducible of degree d, one product of two
+    distinct ones of degree d/2 (x^(q^(d/2)) = x modulo it, so only the d/2
+    check rejects it), and one random monic row."""
+    if field.q > 1024:  # no maximal alphabet: compose random chained letters
+        m = d.bit_length() - 1
+        letters = chained_letters(field, rng, m, None)
+        irreducible = pi(tuple(range(m)), Alphabet(field, letters))
+        half = [pi(tuple(range(m - 1)), Alphabet(field, chained_letters(field, rng, m - 1, None)))
+                for _ in range(2)]
+        split = half[0] * half[1]
+    else:
+        maximal = Alphabet.maximal(field)
+        irreducible = pi(chain_words(maximal, rng, d.bit_length() - 1, 1, True)[0], maximal)
+        split = split_products(field, rng, d, 1)[0]
+    return [irreducible, split, random_poly(field, rng, d + 1, monic=True)]
+
+
+def test_composition_power_path_matches_scalar_rabin():
+    """The power path reaches x^(q^(d/2)) by compositions, Y(Y) = x^(q^(2j))
+    for Y = x^(q^j); its verdicts equal scalar Rabin's.  At p = 1,000,003 and
+    d = 256 scalar Rabin takes seconds a row, so there it checks the split
+    row alone and the chain criterion vouches for the irreducible one."""
+    rng = random.Random(53)
+    grid = [(F7, 128), (F9, 128), (FiniteField(101), 128), (BIG, 64), (BIG, 128), (BIG, 256)]
+    for field, d in grid:
+        assert not _batch._matrix_path(field.q, d)
+        polys = composition_rows(field, rng, d)
+        got = rabin_irreducible_2power(field, from_polys(field, polys)).tolist()
+        assert got[:2] == [True, False], (field.q, d)
+        checked = [1] if d == 256 else [0, 1, 2]
+        assert [got[i] for i in checked] == [rabin_is_irreducible(polys[i]) for i in checked], \
+            (field.q, d)
+
+
+def test_power_path_verdicts_do_not_depend_on_where_composition_starts(monkeypatch):
+    """All composition (x^q, then m - 1 compositions), all binary powering
+    (x^(q^(d/2)) directly) and the chosen mix give the same verdicts."""
+    rng = random.Random(59)
+    for field, d in ((F3, 128), (F3, 256), (F9, 128), (BIG, 64)):
+        polys = composition_rows(field, rng, d) + composition_rows(field, rng, d)
+        polys += [random_poly(field, rng, d + 1, monic=True) for _ in range(4)]
+        arr = from_polys(field, polys)
+        verdicts = [rabin_irreducible_2power(field, arr).tolist()]
+        for reach in (1, d // 2):
+            monkeypatch.setattr(_batch, "_power_reach", lambda q, d, j=reach: j)
+            verdicts.append(rabin_irreducible_2power(field, arr).tolist())
+        monkeypatch.undo()
+        assert verdicts[0] == verdicts[1] == verdicts[2], (field.q, d)
+        assert verdicts[0][:2] == verdicts[0][3:5] == [True, False], (field.q, d)
+
+
+def test_power_reach_counts_products():
+    """Binary powering goes on while doubling j that way, j*log2(q)
+    squarings, costs no more than one composition, k - 1 + d/k - 1 products."""
+    assert _batch._block(512) == _batch._block(1024) == 32 and _batch._block(128) == 16
+    assert _batch._power_reach(3, 512) == 32  # 25.4 <= 46 < 50.7
+    assert _batch._power_reach(3, 1024) == 64  # 50.7 <= 62 < 101
+    assert _batch._power_reach(1_000_003, 64) == 1  # 19.9 > 14: x^q, then compositions
+    assert _batch._power_reach(9, 128) == 8  # 12.7 <= 22 < 25.4
+    assert _batch._power_reach(3, 4) == 2  # d/2 at most: no composition before the last
+
+
+def test_composition_power_path_in_bounded_memory():
+    """64 rows at p = 1,000,003 and d = 1024 take one power-path chunk.  Its
+    compositions keep k = 32 powers of the (64, 1024) rows, 16 MiB of
+    float64, and a few (64, d) rows and (64, 2d) transforms besides; the
+    whole call stays under 32 MiB."""
+    rng = random.Random(61)
+    d = 1024
+    polys = composition_rows(BIG, rng, d)[:1]
+    polys += [random_poly(BIG, rng, d + 1, monic=True) for _ in range(63)]
+    arr = from_polys(BIG, polys)
+    tracemalloc.start()
+    try:
+        got = rabin_irreducible_2power(BIG, arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] and not got[1:].any()
+    assert peak < 32 * 2**20
+
+
+def matrix_dtypes(monkeypatch):
+    """Record the dtype of every Frobenius matrix the kernel builds."""
+    seen = []
+    real = _batch._frobenius_matrices
+
+    def spy(f_low, q, p):
+        seen.append(f_low.dtype)
+        return real(f_low, q, p)
+
+    monkeypatch.setattr(_batch, "_frobenius_matrices", spy)
+    return seen
+
+
+def test_float32_matrix_path_on_both_sides_of_its_bound(monkeypatch):
+    """The matrix path runs in float32 (complex64) while every sum,
+    c*d*((p-1)/2)^2, stays below 2^22: F_509 at d = 64 (64 * 254^2 =
+    4,129,024) is under it, F_521 (64 * 260^2 = 4,326,400) over it, and
+    every F_{p^2} that takes the matrix path, here F_{19^2} and F_{43^2},
+    is under it.  Forcing either dtype where it is exact gives the same
+    verdicts."""
+    rng = random.Random(67)
+    grid = [(FiniteField(509), 64, True), (FiniteField(521), 64, False)]
+    grid += [(FiniteField(p, 2), d, True) for p in (19, 43) for d in (32, 64)]
+    for field, d, under in grid:
+        assert _batch._matrix_path(field.q, d)
+        c = 2 if field.k == 2 else 1
+        assert (c * d * ((field.p - 1) // 2) ** 2 < 2**22) == under
+        narrow, wide = (np.complex64, np.complex128) if c == 2 else (np.float32, np.float64)
+        polys = split_products(field, rng, d, 2)
+        maximal = Alphabet.maximal(field)
+        polys += [pi(w, maximal) for w in chain_words(maximal, rng, d.bit_length() - 1, 2, True)]
+        polys += [random_poly(field, rng, d + 1, monic=True) for _ in range(8)]
+        arr = from_polys(field, polys)
+        seen = matrix_dtypes(monkeypatch)
+        verdicts = [rabin_irreducible_2power(field, arr).tolist()]
+        assert set(seen) == {np.dtype(narrow if under else wide)}, field.q
+        # float32 past the bound is not exact, so it is forced only under it
+        for bound, dtype in [(0, wide)] + ([(2**62, narrow)] if under else []):
+            monkeypatch.setattr(_batch, "_F32_EXACT", bound)
+            seen.clear()
+            verdicts.append(rabin_irreducible_2power(field, arr).tolist())
+            assert set(seen) == {np.dtype(dtype)}, (field.q, bound)
+        monkeypatch.undo()
+        assert all(v == verdicts[0] for v in verdicts), field.q
+        assert verdicts[0][:4] == [False, False, True, True], field.q
+
+
+def test_balance_keeps_float32_and_is_exact_below_2_to_22():
+    """In float32 the reciprocal of p carries a relative error of 2^-24, so
+    v/p rounds to the right quotient while |v| < 2^22: every residue there
+    is exact, for real and complex entries alike."""
+    rng = np.random.default_rng(71)
+    near = np.arange(2**22 - 4096, 2**22, dtype=np.int64)
+    for p in (3, 5, 509, 521, 4093, 65521):
+        v = np.concatenate([near, -near, rng.integers(-(2**22) + 1, 2**22, 20000)])
+        want = (v + p // 2) % p - p // 2
+        got = _batch._balance(v.astype(np.float32), p)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.astype(np.int64), want), p
+        z = _batch._balance((v + 1j * v[::-1]).astype(np.complex64), p)
+        assert z.dtype == np.complex64
+        assert np.array_equal(z.real.astype(np.int64), want), p
+        assert np.array_equal(z.imag.astype(np.int64), want[::-1]), p
