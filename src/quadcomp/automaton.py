@@ -15,7 +15,7 @@ equal columns, so the walk holds a subset as one integer key of one bit
 per such class and numbers keys by sorting, with no dict.  lazy_accepts
 and extend_frontier run the same subset simulation without materializing
 M, by word and by level: a word matrix, one resume id per word and the
-level's distinct rows, M's states.
+level's distinct keys, M's states.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .errors import BudgetExceeded, IndexOutOfRange, UnsupportedFormat
 from .finite_field import FieldElement, FiniteField
 from .monoid import Alphabet, MonicQuad
 
-# a chunked step (_preimage_ids, _Classes.rows, count_accepted) gathers at
-# most about this many bytes at once
+# a chunked step (_preimage_ids, count_accepted) gathers at most about
+# this many bytes at once
 _GATHER_BYTES = 1 << 24
 
 # N has 2q + 1 states and one row of 2q + 1 targets per letter, so the
@@ -45,12 +45,12 @@ MAX_INTERIM_Q = 1 << 10
 # reverse_subset_prune refuses to hold more than this many bytes of M's
 # table (twice, for the copy that joins its blocks), sorted subset keys
 # and their ids, and next frontier; extend_frontier refuses a level whose
-# word matrix, ids and np.nonzero indices, with the step's new keys, their
-# numbering and the bool rows they expand to, pass it.  For the maximal
-# alphabet, M has 651,985 states at q = 41 and 2,038,570 at q = 43, about
-# 3.5 times more per prime.  The q = 43 walk took 14-16 s at 799-814 MB
-# peak RSS (2-core x86-64, Python 3.11), and its estimate peaked at
-# 717 MB; q = 47 passes 1 GiB at layer 6, with 4.9 M states, after 28 s.
+# word matrix, ids and np.nonzero indices, with the step's table, new keys
+# and their numbering, pass it.  For the maximal alphabet, M has 651,985
+# states at q = 41 and 2,038,570 at q = 43, about 3.5 times more per prime.
+# The q = 43 walk took 14-16 s at 799-814 MB peak RSS (2-core x86-64,
+# Python 3.11), and its estimate peaked at 717 MB; q = 47 passes 1 GiB at
+# layer 6, with 4.9 M states, after 28 s.
 MAX_WALK_BYTES = 1 << 30
 
 @dataclass(frozen=True)
@@ -101,11 +101,6 @@ class InterimAutomaton:
             raise IndexOutOfRange("transition targets must lie in [0, %d)" % n)
         self.accepting_mask = np.array(accepting, dtype=bool)
         _read_only(self.rows, self.accepting_mask)
-
-    @cached_property
-    def delta(self) -> tuple:
-        """`rows` as nested tuples of Python ints; derived on first use and kept."""
-        return tuple(map(tuple, self.rows.tolist()))
 
     @cached_property
     def accepting(self) -> tuple:
@@ -324,6 +319,14 @@ class _Classes:
         bits = np.unpackbits(packed, bitorder="little").view(bool)
         return bits.reshape(len(keys), 8 * self.packed.itemsize)
 
+    def gather(self, frontier: np.ndarray) -> tuple:
+        """A frontier's bits, keys unpacked or bool rows over N's states, and
+        the (letters, classes) table that gathers their preimages; a class
+        is read at its first state, so N's initial state for `initial`."""
+        if frontier.ndim == 2:
+            return frontier, self.on_states
+        return self.bits(frontier), self.on_classes
+
     def key_of(self, states: np.ndarray) -> np.ndarray:
         """The key of a bool row over N's states, as a 1-element array: its
         own if the row is a union of classes, else the zero key, which no
@@ -332,16 +335,6 @@ class _Classes:
         if np.array_equal(states[self.rep][self.of_state], states):
             bits[: self.n_classes] = states[self.rep]
         return self.keys(bits)
-
-    def rows(self, keys: np.ndarray) -> np.ndarray:
-        """One bool row over N's states per key, expanded a chunk at a time
-        into one array."""
-        out = np.empty((len(keys), len(self.of_state)), dtype=bool)
-        step = max(1, _GATHER_BYTES // out.shape[1])
-        for lo in range(0, len(keys), step):
-            np.take(self.bits(keys[lo : lo + step]), self.of_state, axis=1, out=out[lo : lo + step],
-                    mode="clip")
-        return out
 
 
 class _Numbering:
@@ -392,17 +385,14 @@ class _Numbering:
 def _preimage_ids(classes: _Classes, frontier: np.ndarray, known: _Numbering):
     """Number the preimages of `frontier` under every letter that hold N's
     initial state through `known`, gathering at most _GATHER_BYTES of class
-    bits at once.  The frontier is bool rows over N's states, or keys.
-    Yields per chunk its ids in (row, letter) order, -1 for the other
-    preimages, and the keys it numbered first."""
-    on_rows = frontier.ndim == 2
-    index = classes.on_states if on_rows else classes.on_classes
-    chunk = max(1, _GATHER_BYTES // index.size)
+    bits at once.  The frontier is keys, or bool rows over N's states for
+    a start that need not be a union of classes.  Yields per chunk its ids
+    in (subset, letter) order, -1 for the other preimages, and the keys it
+    numbered first."""
+    chunk = max(1, _GATHER_BYTES // classes.on_classes.size)
     # an empty frontier still yields one, empty, chunk: an empty level steps to an empty one
     for lo in range(0, len(frontier) or 1, chunk):
-        bits = frontier[lo : lo + chunk]
-        if not on_rows:
-            bits = classes.bits(bits)
+        bits, index = classes.gather(frontier[lo : lo + chunk])
         pre = np.take(bits, index, axis=1).reshape(-1, index.shape[1])
         pre[:, classes.n_classes :] = False  # the padding
         keep = pre[:, classes.initial]  # the preimage holds N's initial state
@@ -412,8 +402,10 @@ def _preimage_ids(classes: _Classes, frontier: np.ndarray, known: _Numbering):
 
 
 def start_level(n_aut: InterimAutomaton) -> tuple:
-    """Level 0: the empty word, resuming at N's accepting states, in the
-    narrowest unsigned dtype that holds every letter index."""
+    """Level 0: the empty word, in the narrowest unsigned dtype that holds
+    every letter index, resuming at N's accepting states.  They are held as
+    a bool row over N's states, since they need not be a union of classes
+    and so have no key."""
     words = np.empty((1, 0), dtype=np.min_scalar_type(len(n_aut.alphabet) - 1))
     return _read_only(words, np.zeros(1, dtype=np.int32), n_aut.accepting_mask[None, :])
 
@@ -424,24 +416,28 @@ def extend_frontier(
     """Append every viable letter to every word of a level.
 
     A level is three read-only arrays: `words`, a (W, n) matrix of letter
-    indices in lexicographic order; int32 `ids`, one per word; and `rows`,
-    the level's distinct resume rows, indexed by `ids`: the sets of N's states
-    that lazy_first_failure holds after reading a word, so states of M.  The
-    rows take the subset walk's step once, and its new keys expand once into
-    the next level's rows.  A level that would hold more than max_words
-    words raises BudgetExceeded before the step, and one whose arrays, with
-    the step's new keys, their numbering and the rows they expand to, would
-    pass MAX_WALK_BYTES raises it as soon as the estimate does: before any
-    new word exists."""
-    words, ids, rows = level
+    indices in lexicographic order; int32 `ids`, one per word; and `keys`,
+    the level's distinct resume states, indexed by `ids`: the keys of the
+    sets of N's states that lazy_first_failure holds after reading a word,
+    so states of M (level 0 holds a bool row; see start_level).  The keys
+    take the subset walk's step once, and its new keys, joined, are the
+    next level's.  A level that would hold more than max_words words raises
+    BudgetExceeded before the step, and one whose arrays, with the step's
+    table, new keys and their numbering, would pass MAX_WALK_BYTES raises it
+    as soon as the estimate does: before any new word exists."""
+    words, ids, keys = level
     n = words.shape[1] + 1
-    # letter j is viable after a word iff its row holds the j-successor of
-    # N's initial state, which is what keeps a preimage in _preimage_ids
-    viable = rows[:, n_aut.rows[:, 0]]
-    n_words = int(np.bincount(ids, minlength=len(rows)) @ np.count_nonzero(viable, axis=1))
+    classes = n_aut.classes
+    # letter j is viable after a word iff its subset holds the j-successor
+    # of N's initial state, which is what keeps a preimage in _preimage_ids
+    bits, index = classes.gather(keys)
+    n_viable = np.count_nonzero(np.take(bits, index[:, classes.initial], axis=1), axis=1)
+    del bits  # a bool per class and key, not to be held through the step
+    n_words = int(np.bincount(ids, minlength=len(keys)) @ n_viable)
+    n_letters = len(n_aut.alphabet)
     # each word's successors and their mask; the new words and ids, and
     # the two index arrays of np.nonzero
-    words_held = (len(ids) * viable.shape[1] * (np.dtype(np.int32).itemsize + 1)
+    words_held = (len(ids) * n_letters * (np.dtype(np.int32).itemsize + 1)
                   + n_words * (n * words.itemsize + ids.itemsize + 2 * np.dtype(np.intp).itemsize))
 
     def check(held):
@@ -452,18 +448,15 @@ def extend_frontier(
     check(words_held)
     if max_words is not None and n_words > max_words:
         raise BudgetExceeded("level %d holds %d words, budget is %d" % (n, n_words, max_words))
-    classes = n_aut.classes
     blocks, fresh, seen = [], [], _Numbering(np.empty(0, dtype=classes.dtype))
-    for block, new_keys in _preimage_ids(classes, rows, seen):
+    for block, new_keys in _preimage_ids(classes, keys, seen):
         blocks.append(block)
         fresh.append(new_keys)
-        # each new key becomes one bool row over N's states
-        check(words_held + _step_bytes(blocks, fresh, seen) + seen.count * n_aut.n_states)
-    nxt = np.concatenate(blocks).reshape(-1, len(n_aut.alphabet))[ids]
-    del blocks, seen  # free the step's table and numbering before the rows expand
+        check(words_held + _step_bytes(blocks, fresh, seen))
+    nxt = np.concatenate(blocks).reshape(-1, n_letters)[ids]
     r, j = np.nonzero(nxt >= 0)  # in (word, letter) order, which keeps the words sorted
     new_words = np.column_stack((words[r], j.astype(words.dtype)))
-    return _read_only(new_words, nxt[r, j], classes.rows(np.concatenate(fresh)))
+    return _read_only(new_words, nxt[r, j], np.concatenate(fresh))
 
 
 def _step_bytes(blocks: list, fresh: list, known: _Numbering) -> int:

@@ -83,14 +83,14 @@ def test_interim_transitions_follow_the_maps():
     alph = example_alphabet()
     aut = build_interim(alph)
     # start moves to the distinguished state of -b
-    assert aut.delta[0][0] == state_of(aut, "dist", F5.elem(3))
-    assert aut.delta[1][0] == state_of(aut, "dist", F5.elem(2))
+    assert aut.rows[0, 0] == state_of(aut, "dist", F5.elem(3))
+    assert aut.rows[1, 0] == state_of(aut, "dist", F5.elem(2))
     # dist and reg states move to reg states through the letter map
     d3 = state_of(aut, "dist", F5.elem(3))
-    assert aut.delta[0][d3] == state_of(aut, "reg", F5.elem(2))  # f(3) = 2
-    assert aut.delta[1][d3] == state_of(aut, "reg", F5.elem(1))  # g(3) = 1
+    assert aut.rows[0, d3] == state_of(aut, "reg", F5.elem(2))  # f(3) = 2
+    assert aut.rows[1, d3] == state_of(aut, "reg", F5.elem(1))  # g(3) = 1
     r2 = state_of(aut, "reg", F5.elem(2))
-    assert aut.delta[0][r2] == r2  # f(2) = 2
+    assert aut.rows[0, r2] == r2  # f(2) = 2
     # dist(a) accepting iff -a nonsquare; reg(a) iff a nonsquare
     assert aut.accepting[0]
     for i, s in enumerate(aut.states):
@@ -115,16 +115,16 @@ def test_merged_interim_golden_for_the_two_letter_example():
     aut = merge_dist_reg(build_interim(example_alphabet()))
     v = {x: state_of(aut, "reg", F5.elem(x)) for x in range(5)}
     f, g = 0, 1
-    assert aut.delta[f][0] == v[3]
-    assert aut.delta[g][0] == v[2]
-    assert aut.delta[f][v[3]] == v[2]
-    assert aut.delta[g][v[3]] == v[1]
-    assert aut.delta[f][v[2]] == v[2]
-    assert aut.delta[g][v[2]] == v[3]
-    assert aut.delta[f][v[1]] == v[4]
-    assert aut.delta[g][v[1]] == v[2]
-    assert aut.delta[f][v[4]] == v[4]
-    assert aut.delta[g][v[4]] == v[1]
+    assert aut.rows[f, 0] == v[3]
+    assert aut.rows[g, 0] == v[2]
+    assert aut.rows[f, v[3]] == v[2]
+    assert aut.rows[g, v[3]] == v[1]
+    assert aut.rows[f, v[2]] == v[2]
+    assert aut.rows[g, v[2]] == v[3]
+    assert aut.rows[f, v[1]] == v[4]
+    assert aut.rows[g, v[1]] == v[2]
+    assert aut.rows[f, v[4]] == v[4]
+    assert aut.rows[g, v[4]] == v[1]
     accepting = {i for i in range(len(aut.states)) if aut.accepting[i]}
     assert accepting == {0, v[2], v[3]}
 
@@ -293,16 +293,14 @@ def test_interim_automaton_stores_only_its_read_only_arrays():
         assert stored["rows"].dtype == np.intp
         assert stored["rows"].shape == (9, aut.n_states)
         assert stored["accepting_mask"].dtype == bool
-        assert "delta" not in stored and "accepting" not in stored
+        assert "accepting" not in stored
         for arr in (aut.rows, aut.accepting_mask):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
-        assert aut.delta == tuple(tuple(row) for row in aut.rows.tolist())
-        assert {type(t) for row in aut.delta for t in row} == {int}
         assert aut.accepting == tuple(aut.accepting_mask.tolist())
         assert {type(acc) for acc in aut.accepting} == {bool}
-        assert "delta" in vars(aut) and "accepting" in vars(aut)
+        assert "accepting" in vars(aut)
     # the constructor copies: writing the caller's array leaves N as it was
     rows = np.array(n9.rows)
     copy = InterimAutomaton(n9.field, n9.alphabet, n9.states, n9.accepting_mask, rows)
@@ -326,9 +324,10 @@ def test_isomorphic_distinguishes():
 def queue_prune(n_aut):
     """Reference subset walk: one state and one letter at a time, over int
     bitmasks, with a deque for the BFS.  Returns (n_states, trans)."""
+    rows = n_aut.rows.tolist()
 
     def preimage(mask, j):
-        return sum(1 << s for s, t in enumerate(n_aut.delta[j]) if (mask >> t) & 1)
+        return sum(1 << s for s, t in enumerate(rows[j]) if (mask >> t) & 1)
 
     start_mask = sum(1 << s for s, acc in enumerate(n_aut.accepting) if acc)
     ids = {start_mask: 0}
@@ -781,7 +780,7 @@ def test_interim_automaton_checks_its_transitions():
     n_aut = build_interim(example_alphabet())
     n = n_aut.n_states
     args = (n_aut.field, n_aut.alphabet, n_aut.states)
-    delta = [list(row) for row in n_aut.delta]
+    delta = n_aut.rows.tolist()
     for bad in (delta[:1], delta + delta[:1], [delta[0], delta[1][:-1]],
                 [delta[0], delta[1] + [0]], [delta[0], delta[1][:-1] + [n]],
                 [delta[0], [-1] + delta[1][1:]]):
@@ -834,7 +833,7 @@ def assert_same_merge(alph):
     assert merged.merged
     assert list(merged.states) == states
     assert list(merged.accepting) == accepting
-    assert list(merged.delta) == delta
+    assert list(map(tuple, merged.rows.tolist())) == delta
     assert merge_dist_reg(merged) is merged
 
 
@@ -872,7 +871,7 @@ def interim_reachable_reference(n_aut):
     queue = deque([0])
     while queue:
         s = queue.popleft()
-        for row in n_aut.delta:
+        for row in n_aut.rows.tolist():
             if row[s] not in seen:
                 seen.add(row[s])
                 queue.append(row[s])

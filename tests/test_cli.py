@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from quadcomp import (
     chain_irreducible,
     enumerate_irreducible_degree,
 )
+import quadcomp
 from quadcomp import automaton
 from quadcomp.cli import CliError, _parse_alphabet, _prime_power, main
 
@@ -470,3 +475,27 @@ def test_the_largest_field_allowed_builds_its_automata(capsys):
     alphabet = _parse_alphabet(FiniteField(1021), "b=1;b=2")
     words = sum(chain_irreducible(w, alphabet).irreducible for w in product(range(2), repeat=3))
     assert (rc, out) == (0, ["words: %d" % words])
+
+
+# a child that prints its own peak RSS, in KiB on Linux, after the command's output
+PEAK_RSS_CHILD = """
+import resource, sys
+from quadcomp.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_enumerate_over_the_largest_field_keeps_its_levels_as_keys():
+    # level 2 over F_1021 resumes at 260,610 distinct subsets of N's 2,043
+    # states: as bool rows they took 532 MB of a 620 MB peak, as keys of 64
+    # bytes they take 17 MB
+    env = dict(os.environ, PYTHONPATH=str(Path(quadcomp.__file__).parents[1]))
+    argv = ["enumerate", "--q", "1021", "-n", "2", "--words"]
+    child = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, *argv], env=env,
+                           capture_output=True, check=True)
+    assert (hashlib.sha256(child.stdout).hexdigest()
+            == "8cf71d90920fbb29add4071fcb100bf730d1dc19cecb787c1f7cdf7ad761acf7")
+    assert int(child.stderr.decode().split()[-1]) < 300 * 2**10

@@ -243,7 +243,7 @@ def test_extend_frontier_steps_one_level():
     # an empty level steps to an empty level
     dead = build_interim(Alphabet(F3, [MonicQuad(F3.elem(0), F3.elem(1))]))
     level1 = extend_frontier(dead, start_level(dead))
-    assert [a.shape for a in extend_frontier(dead, level1)] == [(0, 2), (0,), (0, 7)]
+    assert [a.shape for a in extend_frontier(dead, level1)] == [(0, 2), (0,), (0,)]
 
 
 def test_extend_frontier_is_the_same_across_chunks(monkeypatch):
@@ -270,18 +270,22 @@ def level_alphabets():
 
 def test_level_rows_are_the_folds_of_their_words():
     # a word's resume row is accepting_mask folded by mask = mask[rows[j]]
-    # over its letters; the fold is taken for all of a level's words at once
+    # over its letters; the fold is taken for all of a level's words at once,
+    # and each row from level 1 on is a union of classes, held as its key
     for alph in level_alphabets():
         n_aut = build_interim(alph)
+        key_of = n_aut.classes.key_of
         folds = {(): n_aut.accepting_mask}
         level = start_level(n_aut)
         for _ in range(5):
             level = extend_frontier(n_aut, level)
-            words, ids, rows = level
+            words, ids, keys = level
             words = list(map(tuple, words.tolist()))
             prev = np.array([folds[w[:-1]] for w in words])
             expected = prev[np.arange(len(words))[:, None], n_aut.rows[[w[-1] for w in words]]]
-            assert np.array_equal(rows[ids], expected)
+            expected_keys = np.array([key_of(row)[0] for row in expected], dtype=keys.dtype)
+            assert expected_keys.all()  # the zero key marks a row that is no union of classes
+            assert np.array_equal(keys[ids], expected_keys)
             folds = dict(zip(words, expected))
 
 
@@ -345,9 +349,9 @@ def test_iter_levels_refuses_past_max_words_before_the_step():
 
 
 def test_extend_frontier_counts_its_new_rows_in_the_byte_budget(monkeypatch):
-    # over F_101 level 1 holds 50 words of a few bytes each, but 50 resume
-    # rows of 203 bools, each with its key in the numbering dict; level 2
-    # holds 2,550 words, each with its own row
+    # over F_101 level 1 holds 50 words of a few bytes each, but the step to
+    # it numbers 50 new keys, each held in its numbering's sorted keys and
+    # ids; level 2 holds 2,550 words, each with its own key
     n_aut = build_interim(Alphabet.maximal(FiniteField(101)))
     start = start_level(n_aut)
     levels = [start]
@@ -358,15 +362,8 @@ def test_extend_frontier_counts_its_new_rows_in_the_byte_budget(monkeypatch):
         words, ids, _ = level
         return words.nbytes + ids.nbytes + 2 * len(ids) * np.dtype(np.intp).itemsize
 
-    rows1, rows2 = levels[1][2], levels[2][2]
-    assert (len(rows1), len(rows2)) == (50, 2550)
-    assert 2 * words_bytes(levels[1]) < rows1.nbytes // 2
-    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", rows1.nbytes // 2)
-    with pytest.raises(BudgetExceeded, match=r"^level 1 holds 50 words, about 0 of 0 MB$"):
-        extend_frontier(n_aut, start)
-    # the estimate follows each chunk: with one level-1 row per chunk, the
-    # step to level 2 refuses long before it has gathered all 50 rows'
-    # preimages
+    keys1, keys2 = levels[1][2], levels[2][2]
+    assert (len(keys1), len(keys2)) == (50, 2550)
     chunks = []
 
     def counted(*args):
@@ -376,11 +373,21 @@ def test_extend_frontier_counts_its_new_rows_in_the_byte_budget(monkeypatch):
 
     preimage_ids = automaton._preimage_ids
     monkeypatch.setattr(automaton, "_preimage_ids", counted)
+    # level 1's words and keys fit the budget, but not the step that numbers
+    # the keys: it is refused after the start's one chunk, before any word
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", 2 * words_bytes(levels[1]) + keys1.nbytes)
+    with pytest.raises(BudgetExceeded, match=r"^level 1 holds 50 words, about 0 of 0 MB$"):
+        extend_frontier(n_aut, start)
+    assert len(chunks) == 1
+    # the estimate follows each chunk: with one level-1 key per chunk, the
+    # step to level 2 refuses long before it has gathered all 50 keys'
+    # preimages
+    chunks.clear()
     monkeypatch.setattr(automaton, "_GATHER_BYTES", 1)
-    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", 2 * words_bytes(levels[2]) + rows2.nbytes // 4)
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", 2 * words_bytes(levels[2]) + keys2.nbytes // 4)
     with pytest.raises(BudgetExceeded, match=r"^level 2 holds 2550 words"):
         extend_frontier(n_aut, levels[1])
-    assert 1 < len(chunks) < len(rows1) // 2
+    assert 1 < len(chunks) < len(keys1) // 2
 
 
 def test_freedom_warning_on_uncertified_alphabet():
