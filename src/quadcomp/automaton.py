@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -29,18 +30,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, IndexOutOfRange, UnsupportedFormat
-from .finite_field import FieldElement, FiniteField
-from .monoid import Alphabet, MonicQuad
-
-# a chunked step (_preimage_ids, count_accepted) gathers at most about
-# this many bytes at once
-_GATHER_BYTES = 1 << 24
-
-# N has 2q + 1 states and one row of 2q + 1 targets per letter, so the
-# maximal alphabet's N holds about 2q^2 targets.  At q = 1,021, the largest
-# field allowed, building it took 0.8-1.0 s at 92 MB peak RSS (2-core
-# x86-64, Python 3.11); at q = 1,000,003 it ran out of memory after 26 s.
-MAX_INTERIM_Q = 1 << 10
+# a chunked step (_preimage_ids, extend_frontier, count_accepted) gathers
+# at most about _GATHER_BYTES at once; N exists for q <= MAX_INTERIM_Q
+from .finite_field import _GATHER_BYTES, FieldElement, FiniteField
+from .monoid import MAX_INTERIM_Q, Alphabet, MonicQuad
 
 # reverse_subset_prune refuses to hold more than this many bytes of M's
 # table (twice, for the copy that joins its blocks), sorted subset keys
@@ -169,16 +162,56 @@ class PartialDfa:
         return zip(s.tolist(), j.tolist(), self.table[s, j].tolist())
 
     @cached_property
-    def trans(self) -> dict:
-        """{(state, letter): target}, in (state, letter) order; derived from
-        `table` on first use and kept."""
-        return {(s, j): t for s, j, t in self.edges()}
+    def trans(self) -> "_Transitions":
+        """`table` as a read-only {(state, letter): target} mapping, in (state,
+        letter) order; one view, which reads the table and copies nothing."""
+        return _Transitions(self.table)
 
     def __eq__(self, other):
         if not isinstance(other, PartialDfa):
             return NotImplemented
         key = operator.attrgetter("field", "alphabet", "n_states", "start")
         return key(self) == key(other) and np.array_equal(self.table, other.table)
+
+
+class _Transitions(Mapping):
+    """The defined entries of a (states, letters) table as a read-only
+    {(state, letter): target} mapping.  A key is found only when both its
+    parts lie in range, so a negative one, which numpy would wrap, is not;
+    iteration runs in (state, letter) order."""
+
+    def __init__(self, table: np.ndarray):
+        self._table = table
+        self._cells = memoryview(table)
+        self._shape = table.shape
+
+    def _target(self, key) -> int:
+        """key's target, or -1 where the table has none or key names no
+        (state, letter) of it."""
+        try:
+            s, j = key
+            n_states, n_letters = self._shape
+            if 0 <= s < n_states and 0 <= j < n_letters:
+                return self._cells[s, j]
+        except (TypeError, ValueError):
+            pass
+        return -1
+
+    def __getitem__(self, key) -> int:
+        t = self._target(key)
+        if t < 0:
+            raise KeyError(key)
+        return t
+
+    def __contains__(self, key) -> bool:
+        return self._target(key) >= 0
+
+    def __iter__(self):
+        s, j = np.nonzero(self._table >= 0)
+        return zip(s.tolist(), j.tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._table >= 0))
 
 
 def _table_from_edges(edges, shape) -> np.ndarray:
@@ -202,7 +235,11 @@ def _check_interim_q(q: int) -> None:
 
 
 def build_interim(alphabet: Alphabet) -> InterimAutomaton:
-    """The complete automaton N with 2q + 1 states, for q <= MAX_INTERIM_Q."""
+    """The complete automaton N with 2q + 1 states, for q <= MAX_INTERIM_Q.
+
+    A letter's targets are its row of the alphabet's step table (kept as
+    `alphabet.steps` where that is bounded), and acceptance reads the
+    field's nonsquares by element index."""
     alphabet.require_nonempty()
     field = alphabet.field
     q = field.q
@@ -210,15 +247,20 @@ def build_interim(alphabet: Alphabet) -> InterimAutomaton:
     raws = list(field.iter_raw())
     states = [NState("initial", None)] + [NState("dist", FieldElement(field, v)) for v in raws]
     states += [NState("reg", FieldElement(field, v)) for v in raws]
-    accepting = [True] + [field.is_nonsquare_raw(field.rneg(v)) for v in raws]
-    accepting += [field.is_nonsquare_raw(v) for v in raws]
+    nonsquare = field.nonsquare_mask()
+    # -v is a nonsquare iff v is, when -1 is a square (q = 1 mod 4), and iff
+    # v is a nonzero square otherwise; element 0 is zero
+    neg_nonsquare = nonsquare ^ (q % 4 == 3)
+    neg_nonsquare[0] = False
+    accepting = np.concatenate(([True], neg_nonsquare, nonsquare))
+    steps = alphabet.steps
+    table = steps.table if steps is not None else field.step_table(alphabet.pairs)
+    index, rneg = field.index_of_raw, field.rneg
     rows = np.empty((len(alphabet), len(states)), dtype=np.intp)
-    rchain, index = field.rchain, field.index_of_raw
-    for j, pair in enumerate(alphabet.pairs):
-        # the initial state goes to <-b>; <v> and (v) both go to (f(v))
-        step = (pair,)
-        rows[j, 0] = 1 + index(field.rneg(pair[1]))
-        rows[j, 1 : q + 1] = rows[j, q + 1 :] = [1 + q + index(rchain(v, step)) for v in raws]
+    # the initial state goes to <-b>; <v> and (v) both go to (f(v))
+    rows[:, 0] = [1 + index(rneg(b)) for _, b in alphabet.pairs]
+    rows[:, 1 : q + 1] = rows[:, q + 1 :] = table
+    rows[:, 1:] += 1 + q
     return InterimAutomaton(field, alphabet, states, accepting, rows)
 
 
@@ -401,6 +443,20 @@ def _preimage_ids(classes: _Classes, frontier: np.ndarray, known: _Numbering):
         yield block, new_keys
 
 
+def _viable_letters(classes: _Classes, frontier: np.ndarray) -> np.ndarray:
+    """For each subset of `frontier`, how many letters' preimages of it
+    _preimage_ids keeps: letter j's when the subset holds the j-successor
+    of N's initial state.  A chunk of subsets at a time, as a key unpacks to
+    a bool per class bit and gathers a bool per letter; nothing of a chunk
+    outlives the call."""
+    counts = np.empty(len(frontier), dtype=np.intp)
+    chunk = max(1, _GATHER_BYTES // (8 * classes.packed.itemsize + len(classes.on_classes)))
+    for lo in range(0, len(frontier), chunk):
+        bits, index = classes.gather(frontier[lo : lo + chunk])
+        np.take(bits, index[:, classes.initial], axis=1).sum(axis=1, out=counts[lo : lo + chunk])
+    return counts
+
+
 def start_level(n_aut: InterimAutomaton) -> tuple:
     """Level 0: the empty word, in the narrowest unsigned dtype that holds
     every letter index, resuming at N's accepting states.  They are held as
@@ -428,13 +484,9 @@ def extend_frontier(
     words, ids, keys = level
     n = words.shape[1] + 1
     classes = n_aut.classes
-    # letter j is viable after a word iff its subset holds the j-successor
-    # of N's initial state, which is what keeps a preimage in _preimage_ids
-    bits, index = classes.gather(keys)
-    n_viable = np.count_nonzero(np.take(bits, index[:, classes.initial], axis=1), axis=1)
-    del bits  # a bool per class and key, not to be held through the step
-    n_words = int(np.bincount(ids, minlength=len(keys)) @ n_viable)
     n_letters = len(n_aut.alphabet)
+    n_viable = _viable_letters(classes, keys)
+    n_words = int(np.bincount(ids, minlength=len(keys)) @ n_viable)
     # each word's successors and their mask; the new words and ids, and
     # the two index arrays of np.nonzero
     words_held = (len(ids) * n_letters * (np.dtype(np.int32).itemsize + 1)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterator
 
+import numpy as np
+
 from .errors import InvalidDegree, NotOddPrime
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -24,6 +26,10 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 # Euler's criterion is one modular power (about 1 us) per query, so at
 # q = 1,000,003 the table took 0.3 s and 34 MB before its first answer
 _SQUARE_TABLE_LIMIT = 1 << 16
+
+# an array pass (step_table, and the automata's chunked steps) holds at most
+# about this many bytes in any one temporary array
+_GATHER_BYTES = 1 << 24
 
 
 def is_prime(n: int) -> bool:
@@ -100,6 +106,7 @@ class FiniteField:
             self.zero_raw = (0,) * k
             self.one_raw = (1,) + (0,) * (k - 1)
         self._squares = None
+        self._nonsquare = None
 
     # -- context identity -------------------------------------------------
 
@@ -164,6 +171,68 @@ class FiniteField:
             v = self._fold(self._wide(s, s, [-c for c in b] + pad))
         return v
 
+    def step_table(self, pairs) -> np.ndarray:
+        """The letter maps of the raw pairs (a, b) as one int32 (L, q) table:
+        entry [j, i] is the index of (v_i - a_j)^2 - b_j, v_i the element of
+        index i.
+
+        Letters with the same a share one squaring, done on digit arrays as
+        _wide and _fold do it, and no temporary array passes _GATHER_BYTES.
+        Only fields of q <= _SQUARE_TABLE_LIMIT are tabulated: there one
+        squaring's unreduced slots take at most 9 MB (q = 3^10), and a letter's
+        row of digits 5 MB; beyond it ValueError is raised.
+        """
+        q, k, p = self.q, self.k, self.p
+        if q > _SQUARE_TABLE_LIMIT:
+            raise ValueError("step tables need q <= %d, got q = %d" % (_SQUARE_TABLE_LIMIT, q))
+        index = self.index_of_raw
+        shifts, group = np.unique(np.array([index(a) for a, _ in pairs], dtype=np.int64),
+                                  return_inverse=True)
+        subtract = self._digits(np.array([index(b) for _, b in pairs], dtype=np.int64))
+        elements = self._digits(np.arange(q))
+        table = np.empty((len(pairs), q), dtype=np.int32)
+        per_shift = max(1, _GATHER_BYTES // (8 * q * (2 * k - 1)))
+        for lo in range(0, len(shifts), per_shift):
+            squares = self._square(elements - self._digits(shifts[lo : lo + per_shift])[:, None])
+            # a letter at a time, so a temporary is one row of digits: chunks
+            # of letters were no faster over the maximal alphabets at q = 625
+            # to 1,021 (within 10%)
+            for j in np.flatnonzero((group >= lo) & (group < lo + per_shift)).tolist():
+                table[j] = self._index((squares[group[j] - lo] - subtract[j]) % p)
+        return table
+
+    def nonsquare_mask(self) -> np.ndarray:
+        """A read-only bool array over the element indices, True at the
+        nonsquares; from step_table's squaring, so for q <=
+        _SQUARE_TABLE_LIMIT, built on first use and kept."""
+        if self._nonsquare is None:
+            mask = np.ones(self.q, dtype=bool)
+            mask[self.step_table([(self.zero_raw, self.zero_raw)])[0]] = False
+            mask.setflags(write=False)
+            self._nonsquare = mask
+        return self._nonsquare
+
+    def _digits(self, indices: np.ndarray) -> np.ndarray:
+        """The raw values of element indices as int64 coordinates along a new
+        last axis of length k, low degree first."""
+        return indices[..., None] // self.p ** np.arange(self.k) % self.p
+
+    def _index(self, digits: np.ndarray) -> np.ndarray:
+        """The element indices of coordinates along the last axis."""
+        return digits @ self.p ** np.arange(self.k)
+
+    def _square(self, digits: np.ndarray) -> np.ndarray:
+        """The reduced coordinates of the squares of unreduced ones, each
+        below p in absolute value: _wide into 2k - 1 slots, then _fold."""
+        k, p = self.k, self.p
+        acc = np.zeros(digits.shape[:-1] + (2 * k - 1,), dtype=np.int64)
+        for i in range(k):
+            acc[..., i : i + k] += digits[..., i : i + 1] * digits
+        low = acc[..., :k]
+        if k > 1:
+            low += acc[..., k:] % p @ np.array(self._red, dtype=np.int64)
+        return low % p
+
     def _wide(self, u, v, acc):
         """acc plus the unreduced coordinate product of u and v, in 2k - 1
         slots for t^0 .. t^(2k-2)."""
@@ -210,9 +279,11 @@ class FiniteField:
             return False
         if self.q <= _SQUARE_TABLE_LIMIT:
             if self._squares is None:
-                self._squares = frozenset(
-                    self.rmul(v, v) for v in self.iter_raw()
-                )
+                squares = np.flatnonzero(~self.nonsquare_mask())
+                if self.k == 1:
+                    self._squares = frozenset(squares.tolist())
+                else:
+                    self._squares = frozenset(map(tuple, self._digits(squares).tolist()))
             return u not in self._squares
         return self.rpow(u, (self.q - 1) // 2) != self.one_raw
 

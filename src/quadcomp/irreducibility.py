@@ -6,7 +6,9 @@ The automaton route: lazy or materialized runs of the machinery in
 `automaton`.  The decomposition route: peel outer monic quadratics off a
 polynomial by completing the square, then test the recovered chain.  Both
 work on raw field values, reducing each chain step and peeled coefficient
-once; FieldElement and Poly objects are built only for what is returned.
+once; a word over an alphabet that keeps its step table (Alphabet.steps)
+steps by lookups in it instead.  FieldElement and Poly objects are built
+only for what is returned.
 
 Levels: iter_levels and enumerate_level give the accepted words of a
 given length as one (words, n) matrix of letter indices in lexicographic
@@ -33,7 +35,7 @@ from .errors import (
     OddDegree,
 )
 from .finite_field import FieldElement, FiniteField
-from .monoid import Alphabet, MonicQuad, compose_chain, freedom_certificate
+from .monoid import Alphabet, LetterSteps, MonicQuad, compose_chain, freedom_certificate
 from .polynomial import Poly, _mul_raw
 
 IRREDUCIBLE = "irreducible"
@@ -103,6 +105,27 @@ def _raw_chain(field: FiniteField, pairs: Iterable[tuple]) -> Tuple[list, Option
     return values, None
 
 
+def _table_chain(steps: LetterSteps, word: Sequence[int]) -> Tuple[list, Optional[int]]:
+    """_raw_chain of a word over an alphabet, by its LetterSteps: the same
+    values and index, each chain step one lookup in a letter's row of
+    element indices."""
+    rows, nonsquare = steps.rows, steps.nonsquare
+    values = []
+    inner = []  # the rows of the letters read so far, innermost first
+    for j in word:
+        if inner:
+            v = steps.neg_b[j]
+            for row in inner:
+                v = row[v]
+        else:
+            v = steps.b[j]
+        values.append(steps.raws[v])
+        if not nonsquare[v]:
+            return values, len(values)
+        inner.insert(0, rows[j])
+    return values, None
+
+
 def _letter_pairs(field: FiniteField, letters: Iterable[MonicQuad]) -> Iterator[tuple]:
     for quad in letters:
         if quad.field != field:
@@ -110,9 +133,8 @@ def _letter_pairs(field: FiniteField, letters: Iterable[MonicQuad]) -> Iterator[
         yield quad.a.val, quad.b.val
 
 
-def _chain_report(field: FiniteField, pairs: Iterable[tuple]) -> ChainReport:
-    """Chain report of letters given as raw (a, b) pairs, outermost first."""
-    values, first_failure = _raw_chain(field, pairs)
+def _chain_report(field: FiniteField, values: list, first_failure: Optional[int]) -> ChainReport:
+    """The report of raw chain values and the first failing index."""
     verdicts = (True,) * (len(values) - 1) + (first_failure is None,)
     return ChainReport(
         tuple([FieldElement(field, v) for v in values]), verdicts, first_failure
@@ -124,19 +146,23 @@ def letter_chain(letters: Sequence[MonicQuad]) -> ChainReport:
     if not letters:
         raise EmptyWord("the chain criterion needs at least one letter")
     field = letters[0].field
-    return _chain_report(field, _letter_pairs(field, letters))
+    return _chain_report(field, *_raw_chain(field, _letter_pairs(field, letters)))
 
 
 def chain_irreducible(word: Sequence[int], alphabet: Alphabet) -> ChainReport:
     """Chain criterion for a word over an alphabet (outermost letter first).
 
-    Letters are read from `alphabet.pairs` one at a time, so a word that
-    fails early reads no further letters.
+    Steps are lookups in `alphabet.steps` where the alphabet keeps it, and
+    `FiniteField.rchain` on the letters' pairs elsewhere.  Either way a word
+    that fails early takes no further steps.
     """
     word = alphabet.check_word(word)
     if not word:
         raise EmptyWord("the chain criterion needs a nonempty word")
-    return _chain_report(alphabet.field, map(alphabet.pairs.__getitem__, word))
+    field, steps = alphabet.field, alphabet.steps
+    if steps is None:
+        return _chain_report(field, *_raw_chain(field, map(alphabet.pairs.__getitem__, word)))
+    return _chain_report(field, *_table_chain(steps, word))
 
 
 def _warn_unless_free(alphabet: Alphabet, assume_free: bool) -> None:

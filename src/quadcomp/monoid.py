@@ -8,14 +8,23 @@ leftmost index is the outermost map of the composition, so the word
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _iproduct
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, EmptyAlphabet, IndexOutOfRange
-from .finite_field import FieldElement, FiniteField
+from .finite_field import _GATHER_BYTES, FieldElement, FiniteField
 from .polynomial import Poly, _mul_raw
 
 DEFAULT_SEARCH_BUDGET = 200_000
+
+# The automata's interim machine N has 2q + 1 states and one row of 2q + 1
+# targets per letter, so the maximal alphabet's N holds about 2q^2 targets.
+# At q = 1,021, the largest field allowed, building it took 0.8-1.0 s at
+# 92 MB peak RSS (2-core x86-64, Python 3.11); at q = 1,000,003 it ran out
+# of memory after 26 s.  Alphabets tabulate their letter maps (LetterSteps)
+# only where N can exist.
+MAX_INTERIM_Q = 1 << 10
 
 # letter display names: f, g, h, ... falling back to L<i> for wide alphabets
 _NAME_BASE = "fghijklmnopqrstuvwxyz"
@@ -76,6 +85,7 @@ class Alphabet:
 
     `pairs` holds each letter's raw (a, b), in letter order: the one form
     in which chains, automata and the batched composer read the letters.
+    `steps` tabulates their maps once, where that is bounded.
     """
 
     def __init__(self, field: FiniteField, letters: Sequence[MonicQuad]):
@@ -98,6 +108,16 @@ class Alphabet:
         """All letters x^2 - b, one per field element b."""
         zero = field.zero
         return cls(field, [MonicQuad(zero, b) for b in field.elements()])
+
+    @cached_property
+    def steps(self) -> Optional["LetterSteps"]:
+        """The letters' maps as LetterSteps, built on first use and kept, for
+        q <= MAX_INTERIM_Q while the table's 4 * L * q bytes stay within
+        _GATHER_BYTES; None elsewhere."""
+        q = self.field.q
+        if q > MAX_INTERIM_Q or 4 * len(self.pairs) * q > _GATHER_BYTES:
+            return None
+        return LetterSteps(self.field, self.pairs)
 
     @property
     def is_maximal(self) -> bool:
@@ -156,6 +176,30 @@ class Alphabet:
     def require_nonempty(self):
         if not self.letters:
             raise EmptyAlphabet("alphabet has no letters")
+
+
+class LetterSteps:
+    """Letter maps v -> (v - a)^2 - b as element indices, for chain walks
+    and the automata.
+
+    `table` is FiniteField.step_table of the pairs, read only, and `rows`
+    its rows as memoryviews, which a lookup reads in about 40 ns; a list
+    took 24 ns but holds 8 bytes, and past 256 an int object, for each
+    4-byte entry.  Per letter, `b` and `neg_b` hold the indices of b and
+    -b; per element index, `nonsquare` holds a bool and `raws` the raw
+    value.
+    """
+
+    def __init__(self, field: FiniteField, pairs: Sequence[tuple]):
+        self.table = field.step_table(pairs)
+        self.table.setflags(write=False)
+        self.rows = [memoryview(row) for row in self.table]
+        index = field.index_of_raw
+        self.b = [index(b) for _, b in pairs]
+        # -b = (a - a)^2 - b
+        self.neg_b = [row[index(a)] for row, (a, _) in zip(self.rows, pairs)]
+        self.nonsquare = field.nonsquare_mask().tolist()
+        self.raws = list(field.iter_raw())
 
 
 def compose_chain(letters: Sequence[MonicQuad], inner: Poly) -> Poly:

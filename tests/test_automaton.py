@@ -35,7 +35,7 @@ from quadcomp import (
     to_dot,
     to_json,
 )
-from quadcomp import automaton, cli, irreducibility
+from quadcomp import automaton, cli, irreducibility, monoid
 from quadcomp.automaton import _reachable as _interim_reachable
 
 F3 = FiniteField(3)
@@ -1115,3 +1115,107 @@ def test_levels_build_n_column_classes_once(monkeypatch):
     assert n_aut.classes is n_aut.classes
     reverse_subset_prune(n_aut)
     assert len(built) == 1
+
+
+def seeded_alphabet(field, n_letters, seed):
+    """n_letters distinct letters with a != 0, drawn from a seeded generator."""
+    rng = random.Random(seed)
+    raws = list(field.iter_raw())
+    pairs = set()
+    while len(pairs) < min(n_letters, (field.q - 1) * field.q):
+        pairs.add((rng.randrange(1, field.q), rng.randrange(field.q)))
+    return Alphabet(field, [MonicQuad(FieldElement(field, raws[a]), FieldElement(field, raws[b]))
+                            for a, b in sorted(pairs)])
+
+
+def rchain_interim(alph, states):
+    """N as build_interim made it one element at a time: each target by
+    rchain, each acceptance by Euler's criterion."""
+    field = alph.field
+    q = field.q
+    raws = list(field.iter_raw())
+    index = field.index_of_raw
+
+    def nonsquare(u):
+        return u != field.zero_raw and field.rpow(u, (q - 1) // 2) != field.one_raw
+
+    accepting = [True] + [nonsquare(field.rneg(v)) for v in raws] + [nonsquare(v) for v in raws]
+    rows = np.empty((len(alph), 2 * q + 1), dtype=np.intp)
+    for j, pair in enumerate(alph.pairs):
+        rows[j, 0] = 1 + index(field.rneg(pair[1]))
+        rows[j, 1 : q + 1] = rows[j, q + 1 :] = [1 + q + index(field.rchain(v, (pair,)))
+                                                 for v in raws]
+    return InterimAutomaton(field, alph, states, accepting, rows)
+
+
+def test_interim_arrays_are_byte_equal_to_the_rchain_reference():
+    # F_3, F_9, F_25, F_27, F_81, F_125, F_{7^3}: maximal and seeded a != 0;
+    # merged wherever -1 is a square; and F_1021's maximal alphabet
+    alphabets = [Alphabet.maximal(FiniteField(1021))]
+    for p, k in ((3, 1), (3, 2), (5, 2), (3, 3), (3, 4), (5, 3), (7, 3)):
+        field = FiniteField(p, k)
+        alphabets += [Alphabet.maximal(field), seeded_alphabet(field, 6, field.q)]
+    for alph in alphabets:
+        got = build_interim(alph)
+        want = rchain_interim(alph, got.states)
+        machines = [(got, want)]
+        if alph.field.q % 4 == 1:
+            machines.append((merge_dist_reg(got), merge_dist_reg(want)))
+        for g, w in machines:
+            assert g.rows.dtype == w.rows.dtype and g.rows.tobytes() == w.rows.tobytes()
+            assert g.accepting_mask.tobytes() == w.accepting_mask.tobytes()
+            assert g == w
+
+
+def test_interim_is_the_same_when_the_alphabet_keeps_no_step_table(monkeypatch):
+    alphabets = [Alphabet.maximal(F27), seeded_alphabet(F25, 9, 4), example_alphabet()]
+    kept = [build_interim(alph) for alph in alphabets]
+    assert all(alph.steps is not None for alph in alphabets)
+    # past the bound an alphabet keeps none, and N reads a table built for it
+    monkeypatch.setattr(monoid, "_GATHER_BYTES", 0)
+    fresh = [Alphabet(alph.field, alph.letters) for alph in alphabets]
+    assert all(alph.steps is None for alph in fresh)
+    assert [build_interim(alph) for alph in fresh] == kept
+
+
+def test_alphabet_keeps_its_step_table_only_within_its_bounds():
+    alph = Alphabet.maximal(FiniteField(1021))
+    assert alph.steps is alph.steps and not alph.steps.table.flags.writeable
+    assert alph.steps.table.shape == (1021, 1021)
+    assert Alphabet.maximal(FiniteField(1031)).steps is None
+    # 4 * L * q bytes past 16 MiB: 4,109 letters over F_1021
+    field = FiniteField(1021)
+    wide = Alphabet(field, [MonicQuad(field.elem(a), field.elem(b))
+                            for a in range(5) for b in range(822)][:4109])
+    assert wide.steps is None
+
+
+def test_transition_view_reads_the_table_and_finds_only_keys_in_range():
+    m = reverse_subset_prune(build_interim(Alphabet.maximal(F7)))
+    view = m.trans
+    assert view is m.trans
+    assert not isinstance(view, dict)
+    n, letters = m.table.shape
+    want = {(s, j): t for s, j, t in m.edges()}
+    assert view == want and want == view and dict(view) == want
+    assert list(view) == sorted(want) and list(view.items()) == sorted(want.items())
+    assert len(view) == len(want) == np.count_nonzero(m.table >= 0)
+    s, j = next(iter(want))
+    assert view[(s, j)] == want[(s, j)] and type(view[(s, j)]) is int
+    assert view.get((s, j)) == want[(s, j)] and (s, j) in view
+    missing = next((s, j) for s in range(n) for j in range(letters) if m.table[s, j] < 0)
+    # numpy would wrap (s - n, j) and (s, j - letters) onto the defined (s, j)
+    for key in (missing, (s - n, j), (s, j - letters), (-1, 0), (0, -1), (n, 0),
+                (0, letters), (n + 7, 0), (0.5, 0), (0,), (0, 0, 0), "ab", None):
+        assert key not in view
+        assert view.get(key) is None
+        with pytest.raises(KeyError):
+            view[key]
+    with pytest.raises(TypeError):
+        view[(s, j)] = 0
+    # no memo of its own: a change to the table shows at once
+    table = m.table.copy()
+    other = PartialDfa(m.field, m.alphabet, n, table)
+    table[missing] = 0
+    assert other.trans[missing] == 0
+    assert not any(isinstance(value, (dict, list, set)) for value in vars(other.trans).values())

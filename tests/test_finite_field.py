@@ -1,9 +1,12 @@
 import random
+import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 
 from quadcomp import FieldElement, FiniteField, NotOddPrime, InvalidDegree, Poly, is_prime
+from quadcomp import finite_field
 
 
 def test_is_prime():
@@ -263,3 +266,70 @@ def test_rdot_and_rchain_agree_with_the_field_operations():
             for v, pair in [(zero, (zero, zero)), (top, (zero, top)), (zero, (top, zero)),
                             (top, (top, top))]:
                 assert field.rchain(v, [pair] * n) == raw_chain_fold(field, v, [pair] * n)
+
+
+# F_3, F_9, F_25, F_27, F_81, F_125 and F_{7^3}
+STEP_FIELDS = [(3, 1), (3, 2), (5, 2), (3, 3), (3, 4), (5, 3), (7, 3)]
+
+
+def step_pairs(field):
+    """The maximal alphabet's raw pairs, and a dozen seeded ones with a != 0."""
+    rng = random.Random(field.q)
+    raws = list(field.iter_raw())
+    seeded = {(rng.choice(raws[1:]), rng.choice(raws)) for _ in range(12)}
+    return [[(field.zero_raw, b) for b in raws], sorted(seeded)]
+
+
+def test_step_table_equals_rchain_at_every_letter_and_element():
+    for p, k in STEP_FIELDS:
+        field = FiniteField(p, k)
+        raws = list(field.iter_raw())
+        for pairs in step_pairs(field):
+            table = field.step_table(pairs)
+            assert table.dtype == np.int32 and table.shape == (len(pairs), field.q)
+            want = [[field.index_of_raw(field.rchain(v, [pair])) for v in raws] for pair in pairs]
+            assert table.tolist() == want, field
+
+
+def test_step_table_is_the_same_across_chunks(monkeypatch):
+    # at 1 byte every squaring and every letter is a chunk of its own
+    fields = [FiniteField(5, 2), FiniteField(7), FiniteField(3, 4)]
+    pairs = {field: step_pairs(field)[1] + step_pairs(field)[0] for field in fields}
+    want = {field: field.step_table(pairs[field]) for field in fields}
+    monkeypatch.setattr(finite_field, "_GATHER_BYTES", 1)
+    for field in fields:
+        assert np.array_equal(field.step_table(pairs[field]), want[field])
+    assert FiniteField(3).step_table([]).shape == (0, 3)
+
+
+def test_step_table_temporaries_stay_within_the_gather_bound(monkeypatch):
+    field = FiniteField(1021)
+    pairs = [(field.zero_raw, b) for b in field.iter_raw()]
+    gather = 1 << 20
+    monkeypatch.setattr(finite_field, "_GATHER_BYTES", gather)
+    tracemalloc.start()
+    try:
+        table = field.step_table(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table itself, then one chunk's digits and their indices
+    assert peak < table.nbytes + 3 * gather
+
+
+def test_step_table_refuses_fields_past_the_square_table():
+    with pytest.raises(ValueError, match="step tables need q <= 65536"):
+        FiniteField(65537).step_table([(0, 0)])
+
+
+def test_square_set_and_nonsquare_mask_hold_the_squares():
+    for p, k in ((3, 1), (3, 2), (3, 3), (31, 2), (13, 3), (3, 7), (1021, 1)):
+        field = FiniteField(p, k)
+        raws = list(field.iter_raw())
+        assert not field.is_nonsquare_raw(field.one_raw)
+        assert field._squares == frozenset(field.rmul(v, v) for v in raws)
+        mask = field.nonsquare_mask()
+        assert mask is field.nonsquare_mask() and not mask.flags.writeable
+        euler = [v != field.zero_raw and field.rpow(v, (field.q - 1) // 2) != field.one_raw
+                 for v in raws]
+        assert mask.tolist() == euler

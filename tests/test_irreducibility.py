@@ -42,7 +42,7 @@ from quadcomp import (
     reverse_subset_prune,
     start_level,
 )
-from quadcomp import automaton
+from quadcomp import automaton, monoid
 from quadcomp import test_decomposable as decomposable_verdict
 
 F3 = FiniteField(3)
@@ -813,3 +813,87 @@ def test_every_monomial_bump_of_a_degree_64_composition():
                     decompose_quadratic_outer(G)
             want = peels_until_refused(decompose_reference, G)
             assert peels_until_refused(decompose_quadratic_outer, G) == want, (field, i)
+
+
+def table_check_alphabets(field):
+    """The maximal alphabet, where it fits, and seeded ones with a != 0."""
+    rng = random.Random(field.q)
+    out = [Alphabet.maximal(field)] if field.q <= 1 << 11 else []
+    for size in (1, 3, 8):
+        pairs = set()
+        while len(pairs) < min(size, (field.q - 1) * field.q):
+            pairs.add((rng.randrange(1, field.q), rng.randrange(field.q)))
+        out.append(Alphabet(field, [MonicQuad(field.elem(field.raw_from_index(a)),
+                                              field.elem(field.raw_from_index(b)))
+                                    for a, b in sorted(pairs)]))
+    return out
+
+
+def seeded_chain_words(alph, rng):
+    """Words of length 1..20: uniform ones, which mostly fail early, and ones
+    grown a letter at a time by the reference to stay irreducible as long
+    as they can."""
+    n = len(alph)
+    words = [tuple(rng.randrange(n) for _ in range(length)) for length in range(1, 21)]
+    grown = []
+    for _ in range(40):
+        letter = rng.randrange(n)
+        if letter_chain([alph[j] for j in grown + [letter]]).irreducible:
+            grown.append(letter)
+        words.append(tuple(grown + [letter]))
+        if len(grown) == 19:
+            break
+    return words
+
+
+def assert_chain_matches_letter_chain(alph, rng):
+    for word in seeded_chain_words(alph, rng):
+        got = chain_irreducible(word, alph)
+        want = letter_chain([alph[j] for j in word])
+        # a ChainReport compares its values, verdicts and first_failure
+        assert got == want, (alph.field, word)
+
+
+def test_chain_by_step_table_equals_letter_chain():
+    irreducible = 0
+    for p, k in ((3, 1), (3, 2), (5, 2), (3, 3), (3, 4), (5, 3), (7, 3)):
+        field = FiniteField(p, k)
+        rng = random.Random(p * 100 + k)
+        for alph in table_check_alphabets(field):
+            assert alph.steps is not None
+            assert_chain_matches_letter_chain(alph, rng)
+            irreducible += chain_irreducible(seeded_chain_words(alph, rng)[-1], alph).irreducible
+    assert irreducible > 5
+
+
+def test_chain_past_the_step_table_bound_equals_letter_chain(monkeypatch):
+    # F_1031 and p = 1,000,003 lie past MAX_INTERIM_Q, where rchain steps
+    for field in (FiniteField(1031), FiniteField(1_000_003)):
+        rng = random.Random(field.p)
+        for alph in table_check_alphabets(field):
+            assert alph.steps is None
+            assert_chain_matches_letter_chain(alph, rng)
+    # and so it does past the table's byte bound; the reports are the same
+    alphabets = table_check_alphabets(FiniteField(5, 2))
+    words = {id(alph): seeded_chain_words(alph, random.Random(3)) for alph in alphabets}
+    want = [[chain_irreducible(w, alph) for w in words[id(alph)]] for alph in alphabets]
+    monkeypatch.setattr(monoid, "_GATHER_BYTES", 0)
+    fresh = [Alphabet(alph.field, alph.letters) for alph in alphabets]
+    assert all(alph.steps is None for alph in fresh)
+    assert [[chain_irreducible(w, alph) for w in words[id(old)]]
+            for alph, old in zip(fresh, alphabets)] == want
+
+
+def test_extend_frontier_counts_a_level_one_chunk_of_keys_at_a_time():
+    # level 2 of F_1021 has 260,610 keys of 512 class bits; unpacked all at
+    # once to count level 3's words, they took two arrays of 133 MB
+    n_aut = build_interim(Alphabet.maximal(FiniteField(1021)))
+    level = extend_frontier(n_aut, extend_frontier(n_aut, start_level(n_aut)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=r"^level 3 holds 133171710 words"):
+            extend_frontier(n_aut, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * automaton._GATHER_BYTES
