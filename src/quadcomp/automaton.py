@@ -616,9 +616,10 @@ def minimize(m_aut: PartialDfa) -> PartialDfa:
 
     Each round is one array pass: a state's signature is its own block and
     the blocks of its successors, and np.unique over the signature rows
-    gives the next blocks, until their number stops growing.  Blocks are
-    then numbered breadth first from the start block, letters in alphabet
-    order, so the result is the canonical minimal DFA.
+    gives the next blocks, until their number stops growing or every state,
+    the sink too, has a block of its own.  Blocks are then numbered breadth
+    first from the start block, letters in alphabet order, so the result is
+    the canonical minimal DFA.
     """
     table = m_aut.table
     n = m_aut.n_states
@@ -635,6 +636,8 @@ def minimize(m_aut: PartialDfa) -> PartialDfa:
         if found == n_blocks:
             break
         block, n_blocks = block_of.astype(np.int32), found
+        if n_blocks == n + 1:  # every state alone: no later round can split one
+            break
     # the states of a block share their successor blocks, so any one of
     # them may write the block's row; the sink's block stands for "missing"
     succ = np.empty((n_blocks, table.shape[1]), dtype=np.int32)

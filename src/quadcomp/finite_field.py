@@ -5,6 +5,13 @@ power basis 1, t, ..., t^(k-1) modulo the lexicographically smallest monic
 irreducible polynomial of degree k over F_p, coefficient vectors compared
 low degree first.  Elements carry a reference to their field context and
 are immutable.
+
+An extension field of q <= _LOG_TABLE_LIMIT multiplies by discrete-log
+tables: its multiplicative group is cyclic, so with a primitive element g
+every nonzero product, inverse, power and quadratic character is integer
+arithmetic on exponents of g.  The tables are built on the first such
+operation, not with the field, and kept.  Past the bound, products run the
+coordinate loops _wide and _fold, and prime fields use int arithmetic.
 """
 
 from __future__ import annotations
@@ -26,6 +33,11 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 # Euler's criterion is one modular power (about 1 us) per query, so at
 # q = 1,000,003 the table took 0.3 s and 34 MB before its first answer
 _SQUARE_TABLE_LIMIT = 1 << 16
+
+# discrete-log tables (FiniteField._logs) are built for extension fields up
+# to this size: within it no build took over 17 ms (q = 3^9) or 5.5 MB
+# (q = 13^4, tracemalloc peak), while q = 3^10 took 72 ms and 16.7 MB
+_LOG_TABLE_LIMIT = 1 << 15
 
 # an array pass (step_table, and the automata's chunked steps) holds at most
 # about this many bytes in any one temporary array
@@ -107,6 +119,8 @@ class FiniteField:
             self.one_raw = (1,) + (0,) * (k - 1)
         self._squares = None
         self._nonsquare = None
+        self._exp = None
+        self._log = None
 
     # -- context identity -------------------------------------------------
 
@@ -146,30 +160,80 @@ class FiniteField:
     def rmul(self, u, v):
         if self.k == 1:
             return u * v % self.p
-        return self._fold(self._wide(u, v, [0] * (2 * self.k - 1)))
+        log = self._log or self._logs()
+        if log is None:
+            return self._mul(u, v)
+        zero = self.zero_raw
+        if u == zero or v == zero:
+            return zero
+        return self._exp[log[u] + log[v]]
 
     def rdot(self, us, vs):
         """The sum of u * v over paired raw values us and vs, reduced once."""
         if self.k == 1:
             return sum(map(mul, us, vs)) % self.p
-        acc = [0] * (2 * self.k - 1)
-        for u, v in zip(us, vs):
-            self._wide(u, v, acc)
-        return self._fold(acc)
+        log = self._log or self._logs()
+        if log is None:
+            acc = [0] * (2 * self.k - 1)
+            for u, v in zip(us, vs):
+                self._wide(u, v, acc)
+            return self._fold(acc)
+        exp, zero, p = self._exp, self.zero_raw, self.p
+        terms = [exp[log[u] + log[v]] for u, v in zip(us, vs) if u != zero and v != zero]
+        if len(terms) > 1:
+            return tuple([c % p for c in map(sum, zip(*terms))])
+        return terms[0] if terms else zero
 
     def rchain(self, v, pairs):
         """The raw value v sent through (x - a)^2 - b for each raw pair
         (a, b) of `pairs` in turn, reduced once a step."""
+        p = self.p
         if self.k == 1:
-            p = self.p
             for a, b in pairs:
                 v = ((v - a) * (v - a) - b) % p
             return v
-        pad = [0] * (self.k - 1)
+        log = self._log or self._logs()
+        if log is None:
+            pad = [0] * (self.k - 1)
+            for a, b in pairs:
+                s = [x - y for x, y in zip(v, a)]
+                v = self._fold(self._wide(s, s, [-c for c in b] + pad))
+            return v
+        exp, zero = self._exp, self.zero_raw
         for a, b in pairs:
-            s = [x - y for x, y in zip(v, a)]
-            v = self._fold(self._wide(s, s, [-c for c in b] + pad))
+            s = tuple([(x - y) % p for x, y in zip(v, a)])
+            square = exp[2 * log[s]] if s != zero else zero
+            v = tuple([(x - y) % p for x, y in zip(square, b)])
         return v
+
+    def _logs(self):
+        """The discrete-log table of F_q, a dict from each nonzero raw value
+        to its exponent of the primitive element g, or None past
+        _LOG_TABLE_LIMIT.  Built with _exp, which holds g^0 .. g^(2q - 3) so
+        that a sum of two logs indexes it with no mod, on first use and kept;
+        only extension fields ask for it."""
+        q, p, k = self.q, self.p, self.k
+        if q > _LOG_TABLE_LIMIT:
+            return None
+        from .polynomial import _prime_divisors  # polynomial imports this module
+
+        n, one = q - 1, self.one_raw
+        exponents = [n // r for r in _prime_divisors(n)]
+        # g is the first element, by index, of order n; the elements of F_p,
+        # indices below p, have orders dividing p - 1 < n
+        g = next(u for u in map(self.raw_from_index, range(p, q))
+                 if all(self._power(u, e) != one for e in exponents))
+        basis = [self.raw_from_index(p ** j) for j in range(k)]
+        powers, step = np.array([one]), g  # the digits of g^0 .. g^(m-1), and g^m
+        while len(powers) < n:
+            # x -> x * g^m is F_p-linear, row j the digits of t^j * g^m
+            rows = np.array([self._mul(t, step) for t in basis])
+            powers = np.concatenate([powers, powers[: n - len(powers)] @ rows % p])
+            step = self._mul(step, step)
+        exp = list(zip(*powers.T.tolist()))
+        self._exp = exp * 2  # before _log, which readers test first
+        self._log = dict(zip(exp, range(n)))
+        return self._log
 
     def step_table(self, pairs) -> np.ndarray:
         """The letter maps of the raw pairs (a, b) as one int32 (L, q) table:
@@ -233,6 +297,20 @@ class FiniteField:
             low += acc[..., k:] % p @ np.array(self._red, dtype=np.int64)
         return low % p
 
+    def _mul(self, u, v):
+        """rmul by _wide and _fold, for extension fields without log tables."""
+        return self._fold(self._wide(u, v, [0] * (2 * self.k - 1)))
+
+    def _power(self, u, e: int):
+        """u^e for e >= 0 by square and multiply in _mul."""
+        acc = self.one_raw
+        while e:
+            if e & 1:
+                acc = self._mul(acc, u)
+            u = self._mul(u, u)
+            e >>= 1
+        return acc
+
     def _wide(self, u, v, acc):
         """acc plus the unreduced coordinate product of u and v, in 2k - 1
         slots for t^0 .. t^(2k-2)."""
@@ -257,14 +335,12 @@ class FiniteField:
             return self.rpow(self.rinv(u), -e)
         if self.k == 1:
             return pow(u, e, self.p)
-        acc = self.one_raw
-        base = u
-        while e:
-            if e & 1:
-                acc = self.rmul(acc, base)
-            base = self.rmul(base, base)
-            e >>= 1
-        return acc
+        log = self._log or self._logs()
+        if log is None:
+            return self._power(u, e)
+        if u == self.zero_raw:
+            return self.one_raw if e == 0 else u
+        return self._exp[e * log[u] % (self.q - 1)]
 
     def rinv(self, u):
         if u == self.zero_raw:
@@ -274,9 +350,13 @@ class FiniteField:
         return self.rpow(u, self.q - 2)
 
     def is_nonsquare_raw(self, u) -> bool:
-        """Euler criterion; zero counts as a square."""
+        """Euler criterion; zero counts as a square.  Over an extension field
+        with log tables, u is a nonsquare iff its log is odd."""
         if u == self.zero_raw:
             return False
+        log = self.k > 1 and (self._log or self._logs())
+        if log:
+            return log[u] % 2 == 1
         if self.q <= _SQUARE_TABLE_LIMIT:
             if self._squares is None:
                 squares = np.flatnonzero(~self.nonsquare_mask())

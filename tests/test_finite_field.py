@@ -5,7 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quadcomp import FieldElement, FiniteField, NotOddPrime, InvalidDegree, Poly, is_prime
+from quadcomp import (Alphabet, FieldElement, FiniteField, NotOddPrime, InvalidDegree, Poly,
+                      is_prime)
 from quadcomp import finite_field
 
 
@@ -327,9 +328,145 @@ def test_square_set_and_nonsquare_mask_hold_the_squares():
         field = FiniteField(p, k)
         raws = list(field.iter_raw())
         assert not field.is_nonsquare_raw(field.one_raw)
-        assert field._squares == frozenset(field.rmul(v, v) for v in raws)
+        squares = frozenset(field.rmul(v, v) for v in raws)
+        if k == 1:
+            assert field._squares == squares
+        else:  # the even powers of the primitive element, and zero
+            assert field._squares is None
+            assert frozenset(field._exp[: field.q - 1 : 2]) | {field.zero_raw} == squares
         mask = field.nonsquare_mask()
         assert mask is field.nonsquare_mask() and not mask.flags.writeable
         euler = [v != field.zero_raw and field.rpow(v, (field.q - 1) // 2) != field.one_raw
                  for v in raws]
         assert mask.tolist() == euler
+
+
+# F_9, F_25, F_27, F_49, F_81, F_125 and F_{7^3}: every pair is checked
+LOG_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (7, 3)]
+# the largest q <= _LOG_TABLE_LIMIT = 2^15 with k > 1, and the largest k
+LARGEST_LOG_FIELDS = [(181, 2), (3, 9)]
+
+
+def generic_dot(field, us, vs):
+    acc = [0] * (2 * field.k - 1)
+    for u, v in zip(us, vs):
+        field._wide(u, v, acc)
+    return field._fold(acc)
+
+
+def generic_chain(field, v, pairs):
+    for a, b in pairs:
+        s = field.rsub(v, a)
+        v = field.rsub(field._mul(s, s), b)
+    return v
+
+
+def test_log_tables_are_built_on_first_product_and_not_before():
+    for p, k in ((3, 2), (5, 2), (3, 3), (3, 10)):
+        field = FiniteField(p, k)
+        FieldElement(field, field.one_raw)
+        field.step_table([(field.one_raw, field.zero_raw)])
+        field.nonsquare_mask()
+        assert len(Alphabet.maximal(field)) == field.q
+        assert field._log is None and field._exp is None, field
+        field.rmul(field.one_raw, field.one_raw)
+        assert (field._log is not None) == (field.q <= finite_field._LOG_TABLE_LIMIT), field
+
+
+def test_primitive_element_is_the_first_of_full_order():
+    for p, k in LOG_FIELDS:
+        field = FiniteField(p, k)
+        field.rmul(field.one_raw, field.one_raw)
+        n = field.q - 1
+        exp, log = field._exp, field._log
+        assert len(exp) == 2 * n and exp[:n] == exp[n:] and exp[0] == field.one_raw
+        assert len(log) == n and all(exp[i] == u for u, i in log.items())
+        g = exp[1]
+        for i in range(1, field.index_of_raw(g) + 1):
+            u, order = field.raw_from_index(i), 1
+            power = u
+            while power != field.one_raw:
+                power, order = field._mul(power, u), order + 1
+            assert (order == n) == (u == g), (field, i)
+
+
+def test_log_table_arithmetic_equals_the_generic_arithmetic():
+    for p, k in LOG_FIELDS:
+        field = FiniteField(p, k)
+        raws = list(field.iter_raw())
+        zero, one, q = field.zero_raw, field.one_raw, field.q
+        for u, v in product(raws, repeat=2):
+            want = field._mul(u, v)
+            assert field.rmul(u, v) == want == field.rdot([u], [v]), (field, u, v)
+            assert field.rdot([u, v, zero], [v, v, u]) == generic_dot(field, [u, v], [v, v])
+        assert field._log is not None
+        for u in raws:
+            assert field.is_nonsquare_raw(u) == (u != zero and field._power(u, (q - 1) // 2) != one)
+            for e in (0, 1, q - 1, q, 10 ** 6):
+                assert field.rpow(u, e) == field._power(u, e), (field, u, e)
+            if u != zero:
+                inverse = field._power(u, q - 2)
+                assert field.rinv(u) == field.rpow(u, -1) == inverse
+                assert field.rpow(u, -10 ** 6) == field._power(inverse, 10 ** 6)
+        rng = random.Random(q)
+        for n in (0, 1, 2, 5, 13):
+            us, vs = rng.choices(raws, k=n), rng.choices(raws, k=n)
+            assert field.rdot(us, vs) == generic_dot(field, us, vs)
+            for _ in range(20):
+                v, pairs = rng.choice(raws), [tuple(rng.choices(raws, k=2)) for _ in range(n)]
+                assert field.rchain(v, pairs) == generic_chain(field, v, pairs), (field, n)
+
+
+def test_log_tables_at_the_largest_fields_inside_the_bound():
+    for p, k in LARGEST_LOG_FIELDS:
+        field = FiniteField(p, k)
+        assert field.q <= finite_field._LOG_TABLE_LIMIT
+        rng = random.Random(field.q)
+        raws = [field.raw_from_index(rng.randrange(field.q)) for _ in range(200)]
+        zero, one, q = field.zero_raw, field.one_raw, field.q
+        for u, v in zip(raws, raws[1:]):
+            assert field.rmul(u, v) == field._mul(u, v)
+            assert field.rpow(u, 12345) == field._power(u, 12345)
+            assert field.is_nonsquare_raw(u) == (u != zero and field._power(u, (q - 1) // 2) != one)
+        assert field.rdot(raws, raws[::-1]) == generic_dot(field, raws, raws[::-1])
+        pairs = list(zip(raws[::2], raws[1::2]))
+        assert field.rchain(raws[0], pairs) == generic_chain(field, raws[0], pairs)
+        assert len(field._log) == q - 1
+
+
+def test_fields_past_the_log_bound_keep_the_generic_arithmetic(monkeypatch):
+    field = FiniteField(191, 2)  # 36,481 > 2^15
+    assert field.q > finite_field._LOG_TABLE_LIMIT
+    u, v = (3, 190), (188, 7)
+    assert field.rmul(u, v) == field._mul(u, v) and field.rpow(u, 500) == field._power(u, 500)
+    assert field.rinv(u) == field._power(u, field.q - 2)
+    assert field.is_nonsquare_raw(u) == (field._power(u, (field.q - 1) // 2) != field.one_raw)
+    assert field._log is None and field._exp is None
+    # at a lowered bound, F_25 takes the same generic path, and F_9 the tables
+    monkeypatch.setattr(finite_field, "_LOG_TABLE_LIMIT", 9)
+    f9, f25 = FiniteField(3, 2), FiniteField(5, 2)
+    for field in (f9, f25):
+        raws = list(field.iter_raw())
+        for u, v in product(raws, repeat=2):
+            assert field.rmul(u, v) == field._mul(u, v)
+        assert [field.is_nonsquare_raw(u) for u in raws] == field.nonsquare_mask().tolist()
+        pairs = list(zip(raws, raws[::-1]))
+        assert field.rchain(raws[1], pairs) == generic_chain(field, raws[1], pairs)
+    assert f9._log is not None and f25._log is None
+
+
+def test_zero_in_the_log_table_arithmetic():
+    for p, k in LOG_FIELDS[:3]:
+        field = FiniteField(p, k)
+        zero, one = field.zero_raw, field.one_raw
+        for u in field.iter_raw():
+            assert field.rmul(u, zero) == field.rmul(zero, u) == zero
+            assert field.rdot([u, zero], [zero, u]) == zero
+        assert field.rdot([], []) == zero
+        assert field.rpow(zero, 0) == one and field.rpow(zero, 1) == field.rpow(zero, 7) == zero
+        assert not field.is_nonsquare_raw(zero)
+        assert field.rchain(zero, [(zero, zero)] * 3) == zero
+        for call in (lambda: field.rinv(zero), lambda: field.rpow(zero, -1),
+                     lambda: field.zero.inverse(), lambda: field.one / field.zero):
+            with pytest.raises(ZeroDivisionError):
+                call()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import tracemalloc
@@ -897,3 +898,49 @@ def test_extend_frontier_counts_a_level_one_chunk_of_keys_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 3 * automaton._GATHER_BYTES
+
+
+def seeded_extension_chains(field, rng):
+    """Per length 2..9 (degree 4..512), a shifted chain of a random word over
+    the maximal alphabet and one of a word grown to stay irreducible."""
+    alph = Alphabet.maximal(field)
+    for n in range(2, 10):
+        word = [rng.randrange(field.q) for _ in range(n)]
+        grown = []
+        while len(grown) < n:
+            for _ in range(60):
+                j = rng.randrange(field.q)
+                if chain_irreducible(grown + [j], alph).irreducible:
+                    break
+            grown.append(j)
+        for w in (word, grown):
+            yield CanonicalChain(tuple(alph[j].b for j in w), random_elem(field, rng))
+
+
+def extension_decomposition_lines():
+    """Per seeded chain over F_9, F_25 and F_27, its word and shift, and what
+    full_decompose, test_decomposable and canonicalize return for it."""
+    for field in (F9, FiniteField(5, 2), FiniteField(3, 3)):
+        rng = random.Random(field.q)
+        for chain in seeded_extension_chains(field, rng):
+            F = chain.recompose()
+            full = full_decompose(F)
+            status, witness, found = verdict_fields(F)
+            yield F, chain, "%d %s %d | %s %d | %s %s %s | %s" % (
+                field.q, chain.word(), chain.shift.index(), full.word(), full.shift.index(),
+                status, witness, found.word(), outcome(canonicalize, F))
+
+
+# sha256 of those lines, each ended by a newline, taken before F_{p^k} products
+# went through log tables
+EXTENSION_DECOMPOSITION_SHA256 = "401d9a647a48f81934c755b9b2af9e4f66bb54f5d4bc4d1cadc851c2fc44cda4"
+
+
+def test_extension_field_decompositions_match_the_reference_and_the_pinned_digest():
+    digest = hashlib.sha256()
+    for F, chain, line in extension_decomposition_lines():
+        assert full_decompose(F) == full_decompose_reference(F) == chain
+        assert verdict_fields(F) == verdict_reference(F)
+        assert outcome(canonicalize, F) == outcome(canonicalize_reference, F)
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == EXTENSION_DECOMPOSITION_SHA256
