@@ -104,21 +104,23 @@ def _parse_letters(text: str, value) -> list:
 
     A letter splits into pieces at whitespace and at commas outside [...]
     element literals.  `value` maps each coefficient's text; a defaults
-    to 0.
+    to 0, and a coefficient given twice is refused.
     """
     letters = []
     for part in text.split(";"):
         pieces = [piece for chunk in _split_csv(part) for piece in chunk.split()]
         if not pieces:
             raise CliError("empty letter in %r" % text)
-        coeffs = {"a": "0"}
+        coeffs = {}
         for piece in pieces:
             if piece[:2] not in ("a=", "b="):
                 raise CliError("cannot parse %r; expected a=<v> b=<v>" % part.strip())
+            if piece[0] in coeffs:
+                raise CliError("letter %r gives %s twice" % (part.strip(), piece[:2]))
             coeffs[piece[0]] = piece[2:]
         if "b" not in coeffs:
             raise CliError("letter %r is missing b=" % part.strip())
-        letters.append((value(coeffs["a"]), value(coeffs["b"])))
+        letters.append((value(coeffs.get("a", "0")), value(coeffs["b"])))
     return letters
 
 

@@ -6,12 +6,14 @@ irreducible polynomial of degree k over F_p, coefficient vectors compared
 low degree first.  Elements carry a reference to their field context and
 are immutable.
 
-An extension field of q <= _LOG_TABLE_LIMIT multiplies by discrete-log
-tables: its multiplicative group is cyclic, so with a primitive element g
-every nonzero product, inverse, power and quadratic character is integer
-arithmetic on exponents of g.  The tables are built on the first such
-operation, not with the field, and kept.  Past the bound, products run the
-coordinate loops _wide and _fold, and prime fields use int arithmetic.
+Fields of q <= _TABLE_LIMIT answer from tables built on first use, not with
+the field, and kept.  An extension field multiplies by discrete-log tables:
+its multiplicative group is cyclic, so with a primitive element g every
+nonzero product, inverse, power and quadratic character is integer
+arithmetic on exponents of g.  A prime field reads its squareness from a
+list over the residues.  Past the bound nothing is tabulated: extension
+field products run the coordinate loops _wide and _fold, and squareness is
+Euler's criterion.  Prime fields multiply ints at every size.
 """
 
 from __future__ import annotations
@@ -28,16 +30,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # with these bases is exact below it and would only guess from it on
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
-# squares are tabulated up to this field size, tested by powering beyond it:
-# the table costs one pass over the field and a set of q/2 elements, while
-# Euler's criterion is one modular power (about 1 us) per query, so at
-# q = 1,000,003 the table took 0.3 s and 34 MB before its first answer
-_SQUARE_TABLE_LIMIT = 1 << 16
-
-# discrete-log tables (FiniteField._logs) are built for extension fields up
-# to this size: within it no build took over 17 ms (q = 3^9) or 5.5 MB
-# (q = 13^4, tracemalloc peak), while q = 3^10 took 72 ms and 16.7 MB
-_LOG_TABLE_LIMIT = 1 << 15
+# fields up to this size are tabulated, and computed beyond it: log tables
+# (k > 1), the nonsquare list (k == 1) and step tables.  Building the log
+# tables of F_{3^10} peaks at 15 MB (tracemalloc) and a step table's squaring
+# there holds 9 MB, while Euler's criterion past the bound is one modular
+# power (about 1 us) a query; at q = 1,000,003 a table of squares took 0.3 s
+# and 34 MB before its first answer
+_TABLE_LIMIT = 1 << 16
 
 # an array pass (step_table, and the automata's chunked steps) holds at most
 # about this many bytes in any one temporary array
@@ -117,8 +116,8 @@ class FiniteField:
             self.modulus, self._red = _smallest_irreducible(p, k)
             self.zero_raw = (0,) * k
             self.one_raw = (1,) + (0,) * (k - 1)
-        self._squares = None
         self._nonsquare = None
+        self._nonsquare_list = None
         self._exp = None
         self._log = None
 
@@ -209,11 +208,11 @@ class FiniteField:
     def _logs(self):
         """The discrete-log table of F_q, a dict from each nonzero raw value
         to its exponent of the primitive element g, or None past
-        _LOG_TABLE_LIMIT.  Built with _exp, which holds g^0 .. g^(2q - 3) so
+        _TABLE_LIMIT.  Built with _exp, which holds g^0 .. g^(2q - 3) so
         that a sum of two logs indexes it with no mod, on first use and kept;
         only extension fields ask for it."""
         q, p, k = self.q, self.p, self.k
-        if q > _LOG_TABLE_LIMIT:
+        if q > _TABLE_LIMIT:
             return None
         from .polynomial import _prime_divisors  # polynomial imports this module
 
@@ -224,13 +223,16 @@ class FiniteField:
         g = next(u for u in map(self.raw_from_index, range(p, q))
                  if all(self._power(u, e) != one for e in exponents))
         basis = [self.raw_from_index(p ** j) for j in range(k)]
-        powers, step = np.array([one]), g  # the digits of g^0 .. g^(m-1), and g^m
+        # the digits of g^0 .. g^(m-1), and g^m; int32 holds the k products a
+        # digit sums, as p <= 256 when k > 1 inside the bound
+        powers, step = np.array([one], dtype=np.int32), g
         while len(powers) < n:
             # x -> x * g^m is F_p-linear, row j the digits of t^j * g^m
-            rows = np.array([self._mul(t, step) for t in basis])
+            rows = np.array([self._mul(t, step) for t in basis], dtype=np.int32)
             powers = np.concatenate([powers, powers[: n - len(powers)] @ rows % p])
             step = self._mul(step, step)
         exp = list(zip(*powers.T.tolist()))
+        del powers  # before the dict: 2.4 MB of the peak at q = 3^10
         self._exp = exp * 2  # before _log, which readers test first
         self._log = dict(zip(exp, range(n)))
         return self._log
@@ -242,13 +244,13 @@ class FiniteField:
 
         Letters with the same a share one squaring, done on digit arrays as
         _wide and _fold do it, and no temporary array passes _GATHER_BYTES.
-        Only fields of q <= _SQUARE_TABLE_LIMIT are tabulated: there one
+        Only fields of q <= _TABLE_LIMIT are tabulated: there one
         squaring's unreduced slots take at most 9 MB (q = 3^10), and a letter's
         row of digits 5 MB; beyond it ValueError is raised.
         """
         q, k, p = self.q, self.k, self.p
-        if q > _SQUARE_TABLE_LIMIT:
-            raise ValueError("step tables need q <= %d, got q = %d" % (_SQUARE_TABLE_LIMIT, q))
+        if q > _TABLE_LIMIT:
+            raise ValueError("step tables need q <= %d, got q = %d" % (_TABLE_LIMIT, q))
         index = self.index_of_raw
         shifts, group = np.unique(np.array([index(a) for a, _ in pairs], dtype=np.int64),
                                   return_inverse=True)
@@ -267,14 +269,20 @@ class FiniteField:
 
     def nonsquare_mask(self) -> np.ndarray:
         """A read-only bool array over the element indices, True at the
-        nonsquares; from step_table's squaring, so for q <=
-        _SQUARE_TABLE_LIMIT, built on first use and kept."""
+        nonsquares; from step_table's squaring, so for q <= _TABLE_LIMIT,
+        built on first use and kept."""
         if self._nonsquare is None:
             mask = np.ones(self.q, dtype=bool)
             mask[self.step_table([(self.zero_raw, self.zero_raw)])[0]] = False
             mask.setflags(write=False)
             self._nonsquare = mask
         return self._nonsquare
+
+    def nonsquare_list(self) -> list:
+        """nonsquare_mask as a list of bools, built on first use and kept."""
+        if self._nonsquare_list is None:
+            self._nonsquare_list = self.nonsquare_mask().tolist()
+        return self._nonsquare_list
 
     def _digits(self, indices: np.ndarray) -> np.ndarray:
         """The raw values of element indices as int64 coordinates along a new
@@ -345,27 +353,18 @@ class FiniteField:
     def rinv(self, u):
         if u == self.zero_raw:
             raise ZeroDivisionError("inverse of zero in %r" % (self,))
-        if self.k == 1:
-            return pow(u, self.p - 2, self.p)
         return self.rpow(u, self.q - 2)
 
     def is_nonsquare_raw(self, u) -> bool:
-        """Euler criterion; zero counts as a square.  Over an extension field
-        with log tables, u is a nonsquare iff its log is odd."""
+        """Whether u is a nonsquare, zero counting as a square: by Euler's
+        criterion past _TABLE_LIMIT, else by log parity or nonsquare_list."""
         if u == self.zero_raw:
             return False
-        log = self.k > 1 and (self._log or self._logs())
-        if log:
-            return log[u] % 2 == 1
-        if self.q <= _SQUARE_TABLE_LIMIT:
-            if self._squares is None:
-                squares = np.flatnonzero(~self.nonsquare_mask())
-                if self.k == 1:
-                    self._squares = frozenset(squares.tolist())
-                else:
-                    self._squares = frozenset(map(tuple, self._digits(squares).tolist()))
-            return u not in self._squares
-        return self.rpow(u, (self.q - 1) // 2) != self.one_raw
+        if self.q > _TABLE_LIMIT:
+            return self.rpow(u, (self.q - 1) // 2) != self.one_raw
+        if self.k > 1:
+            return (self._log or self._logs())[u] % 2 == 1
+        return (self._nonsquare_list or self.nonsquare_list())[u]
 
     # -- element enumeration and text form ----------------------------------
 
@@ -435,8 +434,8 @@ class FiniteField:
         if text.startswith("["):
             if not text.endswith("]"):
                 raise ValueError("unterminated element literal: %r" % (text,))
-            parts = [s for s in text[1:-1].split(",") if s.strip() != ""]
-            coords = [int(s) for s in parts]
+            # int() refuses an empty coordinate, as Poly.parse an empty coefficient
+            coords = [int(s) for s in text[1:-1].split(",")]
             if len(coords) != self.k:
                 raise ValueError(
                     "expected %d coordinates, got %d in %r" % (self.k, len(coords), text)

@@ -186,8 +186,8 @@ class LetterSteps:
     its rows as memoryviews, which a lookup reads in about 40 ns; a list
     took 24 ns but holds 8 bytes, and past 256 an int object, for each
     4-byte entry.  Per letter, `b` and `neg_b` hold the indices of b and
-    -b; per element index, `nonsquare` holds a bool and `raws` the raw
-    value.
+    -b; per element index, `raws` holds the raw value and `nonsquare` a
+    bool, in the field's nonsquare_list, which every alphabet shares.
     """
 
     def __init__(self, field: FiniteField, pairs: Sequence[tuple]):
@@ -198,7 +198,7 @@ class LetterSteps:
         self.b = [index(b) for _, b in pairs]
         # -b = (a - a)^2 - b
         self.neg_b = [row[index(a)] for row, (a, _) in zip(self.rows, pairs)]
-        self.nonsquare = field.nonsquare_mask().tolist()
+        self.nonsquare = field.nonsquare_list()
         self.raws = list(field.iter_raw())
 
 

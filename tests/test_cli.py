@@ -386,6 +386,33 @@ def test_refusals_exit_with_usage_errors(capsys):
         assert err.startswith("error: "), argv
 
 
+def test_a_letter_giving_a_coefficient_twice_is_refused(capsys):
+    # the last value used to win: a=2 here, and b=2 made the chain irreducible
+    rc, out, _ = run(capsys, "local", "--p", "3", "--chain", "b=1")
+    assert rc == 1 and out == ["Reducible (witness index 1)"]
+    for argv in (
+        ("test", "--q", "5", "--alphabet", "a=1 a=2 b=3", "--word", "f"),
+        ("test", "--q", "5", "--alphabet", "a=0 b=2;b=3 a=1 b=3", "--word", "f"),
+        ("test", "--q", "9", "--alphabet", "a=[1,0],b=[0,1],a=[1,0]", "--word", "f"),
+        ("local", "--p", "3", "--chain", "b=1 b=2"),
+        ("local", "--p", "5", "--chain", "a=1,b=3;a=0,a=0,b=3"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, []), argv
+        assert err.startswith("error: ") and "twice" in err, argv
+
+
+def test_an_empty_coordinate_is_refused(capsys):
+    rc, out, _ = run(capsys, "test", "--q", "9", "--poly", "[ 1 , 2 ],0,1")
+    assert rc == 0 and out == ["Irreducible"]
+    for poly in ("[1,,2],0,1", "[1,2,],0,1", "[,1,2],0,1"):
+        rc, out, err = run(capsys, "test", "--q", "9", "--poly", poly)
+        assert (rc, out) == (2, []), poly
+        assert err.startswith("error: "), poly
+    rc, out, _ = run(capsys, "test", "--q", "9", "--alphabet", "a=[1,,0] b=[0,1]", "--word", "f")
+    assert (rc, out) == (2, [])
+
+
 def test_freedom_refuses_negative_counts(capsys):
     for extra in (("--search-depth", "-1"), ("--budget", "-1", "--search-depth", "1")):
         rc, out, err = run(capsys, "freedom", "--q", "5", *extra)

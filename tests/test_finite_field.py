@@ -192,6 +192,16 @@ def test_parse_and_format():
         f9.parse_element("[1,2")
 
 
+def test_parse_refuses_an_empty_coordinate():
+    f9 = FiniteField(3, 2)
+    assert f9.parse_element("[ 1 , 2 ]") == f9.parse_element(" [1,2] ") == f9.elem((1, 2))
+    for text in ("[1,,2]", "[1,2,]", "[,1,2]", "[1,]", "[,2]", "[]", "[ , ]"):
+        with pytest.raises(ValueError):
+            f9.parse_element(text)
+    with pytest.raises(ValueError):
+        FiniteField(5).parse_element("[]")
+
+
 def test_mixed_field_operations_rejected():
     a = FiniteField(3).elem(1)
     b = FiniteField(5).elem(1)
@@ -202,16 +212,28 @@ def test_mixed_field_operations_rejected():
     assert FieldElement(FiniteField(3), 2) == FiniteField(3).elem(-1)
 
 
+def euler(field, u) -> bool:
+    """Whether u is a nonsquare, by Euler's criterion in the generic
+    arithmetic: int powers for k == 1, _wide and _fold otherwise."""
+    if u == field.zero_raw:
+        return False
+    if field.k == 1:
+        return pow(u, (field.p - 1) // 2, field.p) != 1
+    return field._power(u, (field.q - 1) // 2) != field.one_raw
+
+
 def test_nonsquare_by_table_and_by_euler_agree_with_powering():
-    # 65,521 is at most 2^16, so it tabulates; 65,537 is past it
-    for p, tabulated in ((65521, True), (65537, False)):
-        field = FiniteField(p)
-        rng = random.Random(p)
-        sample = [0, 1, p - 1] + [rng.randrange(p) for _ in range(300)]
-        for u in sample:
-            want = u != 0 and field.rpow(u, (p - 1) // 2) != 1
-            assert field.is_nonsquare_raw(u) == want
-        assert (field._squares is not None) == tabulated
+    # 65,521 and 251^2 = 63,001 are at most 2^16, so they read the nonsquare
+    # list and the log parity; 65,537 and 257^2 = 66,049 are past it
+    for p, k, tabulated in ((65521, 1, True), (65537, 1, False), (251, 2, True), (257, 2, False)):
+        field = FiniteField(p, k)
+        assert (field.q <= finite_field._TABLE_LIMIT) == tabulated
+        rng = random.Random(field.q)
+        sample = [0, 1, field.q - 1] + [rng.randrange(field.q) for _ in range(300)]
+        for u in map(field.raw_from_index, sample):
+            assert field.is_nonsquare_raw(u) == euler(field, u), (field, u)
+        assert (field._nonsquare_list is not None) == (tabulated and k == 1), field
+        assert (field._log is not None) == (tabulated and k > 1), field
 
 
 # the least strong pseudoprimes to the first 12 and 13 prime bases
@@ -330,9 +352,10 @@ def test_square_set_and_nonsquare_mask_hold_the_squares():
         assert not field.is_nonsquare_raw(field.one_raw)
         squares = frozenset(field.rmul(v, v) for v in raws)
         if k == 1:
-            assert field._squares == squares
+            assert field._nonsquare_list == [v not in squares for v in raws]
+            assert field._nonsquare_list is field.nonsquare_list()
         else:  # the even powers of the primitive element, and zero
-            assert field._squares is None
+            assert field._nonsquare_list is None
             assert frozenset(field._exp[: field.q - 1 : 2]) | {field.zero_raw} == squares
         mask = field.nonsquare_mask()
         assert mask is field.nonsquare_mask() and not mask.flags.writeable
@@ -343,8 +366,9 @@ def test_square_set_and_nonsquare_mask_hold_the_squares():
 
 # F_9, F_25, F_27, F_49, F_81, F_125 and F_{7^3}: every pair is checked
 LOG_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (7, 3)]
-# the largest q <= _LOG_TABLE_LIMIT = 2^15 with k > 1, and the largest k
-LARGEST_LOG_FIELDS = [(181, 2), (3, 9)]
+# the largest q <= _TABLE_LIMIT = 2^16 with k > 1, the largest k, and the
+# largest q with k = 3
+LARGEST_LOG_FIELDS = [(251, 2), (3, 10), (37, 3)]
 
 
 def generic_dot(field, us, vs):
@@ -362,15 +386,29 @@ def generic_chain(field, v, pairs):
 
 
 def test_log_tables_are_built_on_first_product_and_not_before():
-    for p, k in ((3, 2), (5, 2), (3, 3), (3, 10)):
-        field = FiniteField(p, k)
-        FieldElement(field, field.one_raw)
-        field.step_table([(field.one_raw, field.zero_raw)])
-        field.nonsquare_mask()
-        assert len(Alphabet.maximal(field)) == field.q
-        assert field._log is None and field._exp is None, field
-        field.rmul(field.one_raw, field.one_raw)
-        assert (field._log is not None) == (field.q <= finite_field._LOG_TABLE_LIMIT), field
+    for p, k in ((3, 2), (5, 2), (3, 3), (3, 10), (251, 2)):
+        for first in ("rmul", "is_nonsquare_raw"):
+            field = FiniteField(p, k)
+            FieldElement(field, field.one_raw)
+            field.step_table([(field.one_raw, field.zero_raw)])
+            field.nonsquare_mask()
+            assert len(field.nonsquare_list()) == len(Alphabet.maximal(field)) == field.q
+            assert field._log is None and field._exp is None, field
+            if first == "rmul":
+                field.rmul(field.one_raw, field.one_raw)
+            else:
+                field.is_nonsquare_raw(field.one_raw)
+            assert field.q <= finite_field._TABLE_LIMIT
+            assert field._log is not None and field._exp is not None, (field, first)
+
+
+def test_letter_steps_share_the_field_nonsquare_list():
+    for field in (FiniteField(29), FiniteField(3, 3)):
+        maximal, small = Alphabet.maximal(field), Alphabet(field, list(Alphabet.maximal(field))[:2])
+        assert field._nonsquare_list is None and field._log is None
+        assert maximal.steps.nonsquare is field.nonsquare_list() is small.steps.nonsquare
+        assert field._nonsquare_list == field.nonsquare_mask().tolist()
+        assert field._log is None
 
 
 def test_primitive_element_is_the_first_of_full_order():
@@ -420,14 +458,16 @@ def test_log_table_arithmetic_equals_the_generic_arithmetic():
 def test_log_tables_at_the_largest_fields_inside_the_bound():
     for p, k in LARGEST_LOG_FIELDS:
         field = FiniteField(p, k)
-        assert field.q <= finite_field._LOG_TABLE_LIMIT
+        assert field.q <= finite_field._TABLE_LIMIT
         rng = random.Random(field.q)
         raws = [field.raw_from_index(rng.randrange(field.q)) for _ in range(200)]
-        zero, one, q = field.zero_raw, field.one_raw, field.q
+        zero, q = field.zero_raw, field.q
         for u, v in zip(raws, raws[1:]):
             assert field.rmul(u, v) == field._mul(u, v)
             assert field.rpow(u, 12345) == field._power(u, 12345)
-            assert field.is_nonsquare_raw(u) == (u != zero and field._power(u, (q - 1) // 2) != one)
+            assert field.is_nonsquare_raw(u) == euler(field, u)
+            if u != zero:
+                assert field.rinv(u) == field._power(u, q - 2)
         assert field.rdot(raws, raws[::-1]) == generic_dot(field, raws, raws[::-1])
         pairs = list(zip(raws[::2], raws[1::2]))
         assert field.rchain(raws[0], pairs) == generic_chain(field, raws[0], pairs)
@@ -435,21 +475,23 @@ def test_log_tables_at_the_largest_fields_inside_the_bound():
 
 
 def test_fields_past_the_log_bound_keep_the_generic_arithmetic(monkeypatch):
-    field = FiniteField(191, 2)  # 36,481 > 2^15
-    assert field.q > finite_field._LOG_TABLE_LIMIT
-    u, v = (3, 190), (188, 7)
+    field = FiniteField(257, 2)  # 66,049 > 2^16
+    assert field.q > finite_field._TABLE_LIMIT
+    u, v = (3, 256), (254, 7)
     assert field.rmul(u, v) == field._mul(u, v) and field.rpow(u, 500) == field._power(u, 500)
     assert field.rinv(u) == field._power(u, field.q - 2)
     assert field.is_nonsquare_raw(u) == (field._power(u, (field.q - 1) // 2) != field.one_raw)
-    assert field._log is None and field._exp is None
-    # at a lowered bound, F_25 takes the same generic path, and F_9 the tables
-    monkeypatch.setattr(finite_field, "_LOG_TABLE_LIMIT", 9)
+    assert field._log is None and field._exp is None and field._nonsquare_list is None
+    # at a lowered bound, F_25 takes the same generic path, and F_9 the tables;
+    # the masks are taken first, since step tables obey the same bound
     f9, f25 = FiniteField(3, 2), FiniteField(5, 2)
+    masks = {field: field.nonsquare_mask().tolist() for field in (f9, f25)}
+    monkeypatch.setattr(finite_field, "_TABLE_LIMIT", 9)
     for field in (f9, f25):
         raws = list(field.iter_raw())
         for u, v in product(raws, repeat=2):
             assert field.rmul(u, v) == field._mul(u, v)
-        assert [field.is_nonsquare_raw(u) for u in raws] == field.nonsquare_mask().tolist()
+        assert [field.is_nonsquare_raw(u) for u in raws] == masks[field]
         pairs = list(zip(raws, raws[::-1]))
         assert field.rchain(raws[1], pairs) == generic_chain(field, raws[1], pairs)
     assert f9._log is not None and f25._log is None

@@ -225,3 +225,39 @@ def test_only_the_array_modules_import_numpy():
         and imports_numpy(path.read_text())
     ]
     assert found == []
+
+
+def module_constants(source: str) -> set:
+    """Every name a module assigns at its top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def stale_constants(readme: str, sources: dict) -> list:
+    """The backticked upper-case constants (`MAX_X`, `_Y_LIMIT`) that `readme`
+    names and no module of `sources` assigns at its top level, in order."""
+    known = set().union(*map(module_constants, sources.values()))
+    named = re.findall(r"`(_?[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)`", readme)
+    return [name for name in dict.fromkeys(named) if name not in known]
+
+
+def test_stale_constants_are_found():
+    sources = {"a.py": "MAX_Q = 3\n_TABLE_LIMIT: int = 4\ndef f():\n    INNER_LIMIT = 5\n",
+               "b.py": "from .a import MAX_Q as MAX_ALIAS\n"}
+    # a constant assigned inside a function or only imported, and a removed
+    # one named twice, are found once each; plain capitals and code spans
+    # with calls or attributes are not constants
+    readme = ("`MAX_Q` and `_TABLE_LIMIT` stay; `INNER_LIMIT`, `MAX_ALIAS` and\n"
+              "`_LOG_TABLE_LIMIT` went (`_LOG_TABLE_LIMIT`). `M`, `N`, `f(MAX_Q)`,\n"
+              "`a.MAX_GONE` and MAX_BARE are not checked.\n")
+    assert stale_constants(readme, sources) == ["INNER_LIMIT", "MAX_ALIAS", "_LOG_TABLE_LIMIT"]
+
+
+def test_every_constant_the_readme_names_exists():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert stale_constants((REPO / "README.md").read_text(), sources) == []
