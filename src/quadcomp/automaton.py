@@ -183,28 +183,26 @@ class _Transitions(Mapping):
     def __init__(self, table: np.ndarray):
         self._table = table
         self._cells = memoryview(table)
-        self._shape = table.shape
-
-    def _target(self, key) -> int:
-        """key's target, or -1 where the table has none or key names no
-        (state, letter) of it."""
-        try:
-            s, j = key
-            n_states, n_letters = self._shape
-            if 0 <= s < n_states and 0 <= j < n_letters:
-                return self._cells[s, j]
-        except (TypeError, ValueError):
-            pass
-        return -1
 
     def __getitem__(self, key) -> int:
-        t = self._target(key)
-        if t < 0:
-            raise KeyError(key)
-        return t
+        try:
+            s, j = key
+            if s >= 0 and j >= 0:
+                t = self._cells[s, j]
+                if t >= 0:
+                    return t
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(key)
 
     def __contains__(self, key) -> bool:
-        return self._target(key) >= 0
+        # a key past either bound raises IndexError, a malformed one
+        # TypeError or ValueError
+        try:
+            s, j = key
+            return s >= 0 and j >= 0 and self._cells[s, j] >= 0
+        except (TypeError, ValueError, IndexError):
+            return False
 
     def __iter__(self):
         s, j = np.nonzero(self._table >= 0)
@@ -619,7 +617,9 @@ def minimize(m_aut: PartialDfa) -> PartialDfa:
     gives the next blocks, until their number stops growing or every state,
     the sink too, has a block of its own.  Blocks are then numbered breadth
     first from the start block, letters in alphabet order, so the result is
-    the canonical minimal DFA.
+    the canonical minimal DFA.  When every state has a block of its own and
+    m_aut is already numbered so, that numbering is the identity and the
+    result holds a copy of m_aut's table.
     """
     table = m_aut.table
     n = m_aut.n_states
@@ -638,6 +638,8 @@ def minimize(m_aut: PartialDfa) -> PartialDfa:
         block, n_blocks = block_of.astype(np.int32), found
         if n_blocks == n + 1:  # every state alone: no later round can split one
             break
+    if n_blocks == n + 1 and _in_bfs_order(table, m_aut.start):
+        return PartialDfa(m_aut.field, m_aut.alphabet, n, table.copy(), start=0)
     # the states of a block share their successor blocks, so any one of
     # them may write the block's row; the sink's block stands for "missing"
     succ = np.empty((n_blocks, table.shape[1]), dtype=np.int32)
@@ -650,6 +652,20 @@ def minimize(m_aut: PartialDfa) -> PartialDfa:
     rows = succ[kept]
     out[number[kept]] = np.where(rows >= 0, number[rows], -1)
     return PartialDfa(m_aut.field, m_aut.alphabet, n_found, out, start=0)
+
+
+def _in_bfs_order(table: np.ndarray, start: int) -> bool:
+    """Whether _bfs_number(table, start) is the identity: start is 0, and
+    read row by row, letters in column order, each target not met before
+    is one past the largest met so far (0 counting as met), first met in a
+    row below its own number, and every state is met."""
+    targets = table.ravel()
+    defined = np.flatnonzero(targets >= 0)
+    met = targets[defined]
+    seen = np.maximum.accumulate(np.concatenate([[0], met]))
+    new = met > seen[:-1]
+    return (start == 0 and seen[-1] == len(table) - 1 and bool(np.all(met <= seen[:-1] + 1))
+            and bool(np.all(defined[new] // table.shape[1] < met[new])))
 
 
 def _bfs_number(succ: np.ndarray, start: int) -> np.ndarray:

@@ -11,15 +11,18 @@ the field, and kept.  An extension field multiplies by discrete-log tables:
 its multiplicative group is cyclic, so with a primitive element g every
 nonzero product, inverse, power and quadratic character is integer
 arithmetic on exponents of g.  A prime field reads its squareness from a
-list over the residues.  Past the bound nothing is tabulated: extension
-field products run the coordinate loops _wide and _fold, and squareness is
-Euler's criterion.  Prime fields multiply ints at every size.
+list over the residues.  An extension field with q^2 inside the bound also
+adds and multiplies element indices by lookups in two q x q tables
+(index_tables), which the decomposition peels with.  Past the bound nothing
+is tabulated: extension field products run the coordinate loops _wide and
+_fold, and squareness is Euler's criterion.  Prime fields multiply ints at
+every size.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,7 +34,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 # fields up to this size are tabulated, and computed beyond it: log tables
-# (k > 1), the nonsquare list (k == 1) and step tables.  Building the log
+# (k > 1), the nonsquare list (k == 1) and step tables; index tables hold q^2
+# entries each, so they need q^2 within it (q <= 256).  Building the log
 # tables of F_{3^10} peaks at 15 MB (tracemalloc) and a step table's squaring
 # there holds 9 MB, while Euler's criterion past the bound is one modular
 # power (about 1 us) a query; at q = 1,000,003 a table of squares took 0.3 s
@@ -90,6 +94,20 @@ def _smallest_irreducible(p: int, k: int) -> tuple:
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
+class IndexTables(NamedTuple):
+    """F_q arithmetic on element indices, as nested lists: add[i][j] and
+    mul[i][j] are the indices of e_i + e_j and e_i * e_j, neg[i] that of
+    -e_i, nonsquare[i] whether e_i is a nonsquare (zero is not), raws[i] the
+    raw value e_i and index the dict from raw values back to indices."""
+
+    add: list
+    mul: list
+    neg: list
+    nonsquare: list
+    raws: list
+    index: dict
+
+
 class FiniteField:
     """Arithmetic context for F_q, q = p^k with p an odd prime.
 
@@ -120,6 +138,7 @@ class FiniteField:
         self._nonsquare_list = None
         self._exp = None
         self._log = None
+        self._index_tables = None
 
     # -- context identity -------------------------------------------------
 
@@ -236,6 +255,29 @@ class FiniteField:
         self._exp = exp * 2  # before _log, which readers test first
         self._log = dict(zip(exp, range(n)))
         return self._log
+
+    def index_tables(self) -> "IndexTables | None":
+        """The arithmetic of an extension field with q^2 <= _TABLE_LIMIT on
+        element indices (see IndexTables), built on first use and kept; None
+        for a prime field, whose indices are its residues, and past the bound."""
+        q, p = self.q, self.p
+        if self._index_tables is None and self.k > 1 and q * q <= _TABLE_LIMIT:
+            if self._log is None:
+                self._logs()
+            # power[m] and log[i] are the index of g^m and the log of e_i
+            power = self._index(np.array(self._exp[: q - 1]))
+            log = np.zeros(q, dtype=np.int64)
+            log[power] = np.arange(q - 1)
+            products = power[(log[:, None] + log) % (q - 1)]
+            products[0] = products[:, 0] = 0
+            # digits below p <= 13 and their sums fit int8
+            digits = self._digits(np.arange(q)).astype(np.int8)
+            raws = list(zip(*digits.T.tolist()))
+            self._index_tables = IndexTables(
+                self._index((digits[:, None] + digits) % p).tolist(), products.tolist(),
+                self._index(-digits % p).tolist(), (log % 2 == 1).tolist(),
+                raws, dict(zip(raws, range(q))))
+        return self._index_tables
 
     def step_table(self, pairs) -> np.ndarray:
         """The letter maps of the raw pairs (a, b) as one int32 (L, q) table:

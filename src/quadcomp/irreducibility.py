@@ -4,11 +4,13 @@ Three routes are provided.  The chain criterion: f_1 o ... o f_t is
 irreducible iff b_1 and every (f_1 o ... o f_{i-1})(-b_i) is a nonsquare.
 The automaton route: lazy or materialized runs of the machinery in
 `automaton`.  The decomposition route: peel outer monic quadratics off a
-polynomial by completing the square, then test the recovered chain.  Both
-work on raw field values, reducing each chain step and peeled coefficient
-once; a word over an alphabet that keeps its step table (Alphabet.steps)
-steps by lookups in it instead.  FieldElement and Poly objects are built
-only for what is returned.
+polynomial by completing the square, then test the recovered chain.  The
+chain criterion works on raw field values, reducing each step once; a word
+over an alphabet that keeps its step table (Alphabet.steps) steps by
+lookups in it instead.  The decomposition works on element indices: ints
+mod p over F_p, and lookups in the field's index tables over an extension
+field small enough to have them; a larger one peels raw values.
+FieldElement and Poly objects are built only for what is returned.
 
 Levels: iter_levels and enumerate_level give the accepted words of a
 given length as one (words, n) matrix of letter indices in lexicographic
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .finite_field import FieldElement, FiniteField
 from .monoid import Alphabet, LetterSteps, MonicQuad, compose_chain, freedom_certificate
-from .polynomial import Poly, _mul_raw
+from .polynomial import _SCHOOL_MAX, Poly, _mul_raw
 
 IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
@@ -254,10 +256,60 @@ class CanonicalChain:
         return tuple(a.index() for a in self.bs)
 
 
-def _half_raw(field: FiniteField):
-    """The raw inverse of 2: the F_p constant (p + 1) / 2, whose index in
-    the field is the constant itself."""
-    return field.raw_from_index((field.p + 1) // 2)
+def _convolve_at(add: list, mul: list, h: list, lo: int, hi: int) -> int:
+    """The index of the sum of h[u] h[lo + hi - u] over lo <= u <= hi, for
+    element indices h and the index tables add and mul; 0 when lo > hi."""
+    acc = 0
+    while lo < hi:
+        acc = add[acc][mul[h[lo]][h[hi]]]
+        lo += 1
+        hi -= 1
+    acc = add[acc][acc]
+    if lo == hi:
+        acc = add[acc][mul[h[lo]][h[lo]]]
+    return acc
+
+
+def _peel_indices(field: FiniteField, fv: list, half: int) -> Tuple[int, list]:
+    """_peel_raw on the element indices fv, by the field's index tables;
+    `half` is the index of 1/2."""
+    tables = field.index_tables()
+    add, mul_, neg, raws = tables.add, tables.mul, tables.neg, tables.raws
+    halve = mul_[half]
+    d = (len(fv) - 1) // 2
+    h = [0] * d + [1]
+    for j in range(1, d + 1):
+        h[d - j] = halve[add[fv[2 * d - j]][neg[_convolve_at(add, mul_, h, d - j + 1, d - 1)]]]
+    top = h[:d]
+    if d > _SCHOOL_MAX:
+        square = [raws[c] for c in top]
+        if _mul_raw(square, square, field)[1:d] != [raws[c] for c in fv[1:d]]:
+            raise NotDecomposable("no monic quadratic splits off")
+    else:
+        for i in range(1, d):
+            if _convolve_at(add, mul_, top, 0, i) != fv[i]:
+                raise NotDecomposable("no monic quadratic splits off")
+    return add[mul_[top[0]][top[0]]][neg[fv[0]]], h
+
+
+def _peel_ints(field: FiniteField, fv: list, half: int) -> Tuple[int, list]:
+    """_peel_raw over F_p, on ints mod p."""
+    p = field.p
+    d = (len(fv) - 1) // 2
+    h = [0] * d + [1]
+    for j in range(1, d + 1):
+        seg = h[d - j + 1 : d]
+        h[d - j] = (fv[2 * d - j] - sum(map(mul, seg, reversed(seg)))) * half % p
+    top = h[:d]
+    if d > _SCHOOL_MAX:
+        if _mul_raw(top, top, field)[1:d] != fv[1:d]:
+            raise NotDecomposable("no monic quadratic splits off")
+    else:
+        for i in range(1, d):
+            seg = top[: i + 1]
+            if sum(map(mul, seg, reversed(seg))) % p != fv[i]:
+                raise NotDecomposable("no monic quadratic splits off")
+    return (top[0] * top[0] - fv[0]) % p, h
 
 
 def _peel_raw(field: FiniteField, fv: list, half) -> Tuple[object, list]:
@@ -269,27 +321,40 @@ def _peel_raw(field: FiniteField, fv: list, half) -> Tuple[object, list]:
     2 h[d-j] plus a dot product of the h[u] above it, so degrees 2d-1 .. d
     give h[d-1] .. h[0] in turn.  Degrees 1 .. d-1 of F must then equal
     those of H^2, which are those of h[:d]^2 as H = h[:d] + x^d.
+
+    Only extension fields without index tables peel raw values; _peel_ints
+    and _peel_indices peel ints and element indices the same way.  Up to
+    d = _SCHOOL_MAX they sum degrees 1 .. d-1 of the square alone, which
+    beats _mul_raw there; past it they square by _mul_raw too.
     """
     d = (len(fv) - 1) // 2
     h = [field.zero_raw] * (d + 1)
     h[d] = field.one_raw
-    if field.k == 1:
-        # the k = 1 body inline: the body below, three method calls per
-        # coefficient, made canonicalize 12-26% slower at degree 4..32
-        p = field.p
-        for j in range(1, d + 1):
-            seg = h[d - j + 1 : d]
-            h[d - j] = (fv[2 * d - j] - sum(map(mul, seg, reversed(seg)))) * half % p
-    else:
-        rdot, rsub, rmul = field.rdot, field.rsub, field.rmul
-        for j in range(1, d + 1):
-            seg = h[d - j + 1 : d]
-            h[d - j] = rmul(rsub(fv[2 * d - j], rdot(seg, seg[::-1])), half)
+    rdot, rsub, rmul = field.rdot, field.rsub, field.rmul
+    for j in range(1, d + 1):
+        seg = h[d - j + 1 : d]
+        h[d - j] = rmul(rsub(fv[2 * d - j], rdot(seg, seg[::-1])), half)
     top = h[:d]
     low = _mul_raw(top, top, field)
     if low[1:d] != fv[1:d]:
         raise NotDecomposable("no monic quadratic splits off")
     return field.rsub(low[0], fv[0]), h
+
+
+def _peel_setup(F: Poly) -> tuple:
+    """(peel, fv, half, tables): the peel for F's field, F's coefficients
+    and the inverse of 2 as it reads them, and the field's index tables or
+    None.  Extension fields with index tables peel element indices; the
+    rest peel raw values: ints over F_p, which are their own indices, and
+    coordinate tuples past the tables."""
+    field = F.field
+    half = (field.p + 1) // 2  # 1/2 is this F_p constant, whose index is itself
+    tables = field.index_tables()
+    if tables is not None:
+        return _peel_indices, list(map(tables.index.__getitem__, F.vals)), half, tables
+    if field.k == 1:
+        return _peel_ints, list(F.vals), half, None
+    return _peel_raw, list(F.vals), field.raw_from_index(half), None
 
 
 def decompose_quadratic_outer(F: Poly) -> Tuple[FieldElement, Poly]:
@@ -302,28 +367,35 @@ def decompose_quadratic_outer(F: Poly) -> Tuple[FieldElement, Poly]:
     if not F.is_monic:
         raise ValueError("polynomial must be monic")
     field = F.field
-    a, h = _peel_raw(field, list(F.vals), _half_raw(field))
+    peel, fv, half, tables = _peel_setup(F)
+    a, h = peel(field, fv, half)
+    if tables is not None:
+        a, h = tables.raws[a], [tables.raws[c] for c in h]
     return FieldElement(field, a), Poly(field, h, raw=True)
 
 
-def _decompose_raw(F: Poly) -> Tuple[list, object]:
-    """The raw (b_1, ..., b_n) and shift of F's canonical chain."""
+def _decompose(F: Poly) -> Tuple[list, object, object]:
+    """(bs, shift, tables): the b_1, ..., b_n and the shift of F's canonical
+    chain, as element indices when the field has index tables (`tables`)
+    and as raw values when it has none (None)."""
     deg = F.degree
     if deg < 2 or deg & (deg - 1):
         raise InvalidDegree("degree must be a power of 2, at least 2")
     if not F.is_monic:
         raise ValueError("polynomial must be monic")
     field = F.field
-    half = _half_raw(field)
+    peel, fv, half, tables = _peel_setup(F)
     bs = []
-    fv = list(F.vals)
     while len(fv) > 2:
-        a, fv = _peel_raw(field, fv, half)
+        a, fv = peel(field, fv, half)
         bs.append(a)
-    return bs, field.rneg(fv[0])
+    return bs, field.rneg(fv[0]) if tables is None else tables.neg[fv[0]], tables
 
 
-def _canonical_chain(field: FiniteField, bs: list, shift) -> CanonicalChain:
+def _canonical_chain(field: FiniteField, bs: list, shift, tables) -> CanonicalChain:
+    """The chain of _decompose's output."""
+    if tables is not None:
+        bs, shift = [tables.raws[b] for b in bs], tables.raws[shift]
     return CanonicalChain(
         tuple(FieldElement(field, b) for b in bs), FieldElement(field, shift)
     )
@@ -331,14 +403,33 @@ def _canonical_chain(field: FiniteField, bs: list, shift) -> CanonicalChain:
 
 def full_decompose(F: Poly) -> CanonicalChain:
     """Peel outer monic quadratics off F down to a linear polynomial."""
-    return _canonical_chain(F.field, *_decompose_raw(F))
+    return _canonical_chain(F.field, *_decompose(F))
 
 
-def _first_square(field: FiniteField, bs: list) -> Optional[int]:
+def _first_square(field: FiniteField, bs: list, tables) -> Optional[int]:
     """The chain criterion's first failing index for the letters x^2 - b,
-    b in the raw bs (outermost first), or None when the chain is irreducible."""
-    zero = field.zero_raw
-    return _raw_chain(field, [(zero, b) for b in bs])[1]
+    b in _decompose's bs (outermost first), or None when the chain is
+    irreducible.  Value i sends -b_i through the letters before it,
+    innermost first; its first step squares -b_i, so the walk steps
+    v <- v^2 - b from v = b_i."""
+    if tables is not None:
+        add, mul_, neg, nonsquare = tables.add, tables.mul, tables.neg, tables.nonsquare
+        for i, v in enumerate(bs):
+            for b in reversed(bs[:i]):
+                v = add[mul_[v][v]][neg[b]]
+            if not nonsquare[v]:
+                return i + 1
+        return None
+    if field.k > 1:
+        zero = field.zero_raw
+        return _raw_chain(field, [(zero, b) for b in bs])[1]
+    p, nonsquare = field.p, field.is_nonsquare_raw
+    for i, v in enumerate(bs):
+        for b in reversed(bs[:i]):
+            v = (v * v - b) % p
+        if not nonsquare(v):
+            return i + 1
+    return None
 
 
 @dataclass(frozen=True)
@@ -363,20 +454,25 @@ def test_decomposable(F: Poly) -> DecompositionVerdict:
     """
     field = F.field
     try:
-        bs, shift = _decompose_raw(F)
+        bs, shift, tables = _decompose(F)
     except NotDecomposable:
         return DecompositionVerdict(NOT_DECOMPOSABLE)
-    first_failure = _first_square(field, bs)
+    first_failure = _first_square(field, bs, tables)
     status = IRREDUCIBLE if first_failure is None else REDUCIBLE
-    return DecompositionVerdict(status, first_failure, _canonical_chain(field, bs, shift))
+    return DecompositionVerdict(status, first_failure,
+                                _canonical_chain(field, bs, shift, tables))
 
 
 def canonicalize(F: Poly) -> Tuple[FieldElement, Tuple[int, ...]]:
     """The unique (shift, word over the maximal alphabet) with
     F = pi(word)(x - shift); F must be an irreducible composition."""
     field = F.field
-    bs, shift = _decompose_raw(F)
-    first_failure = _first_square(field, bs)
+    bs, shift, tables = _decompose(F)
+    first_failure = _first_square(field, bs, tables)
     if first_failure is not None:
         raise NotIrreducible("chain value %d is a square" % first_failure)
-    return FieldElement(field, shift), tuple(field.index_of_raw(b) for b in bs)
+    if tables is not None:
+        shift = tables.raws[shift]
+    elif field.k > 1:
+        bs = map(field.index_of_raw, bs)
+    return FieldElement(field, shift), tuple(bs)

@@ -1219,3 +1219,48 @@ def test_transition_view_reads_the_table_and_finds_only_keys_in_range():
     table[missing] = 0
     assert other.trans[missing] == 0
     assert not any(isinstance(value, (dict, list, set)) for value in vars(other.trans).values())
+
+
+def renumbered(m, perm):
+    """m with each state s renamed perm[s]."""
+    table = np.full_like(m.table, -1)
+    table[perm] = np.where(m.table >= 0, perm[m.table], -1)
+    return PartialDfa(m.field, m.alphabet, m.n_states, table, start=int(perm[m.start]))
+
+
+def test_minimize_returns_a_minimal_machine_in_bfs_order_as_it_is(monkeypatch):
+    # a minimal machine keeps every state in a block of its own; minimize
+    # copies its table when it is numbered breadth first from state 0, and
+    # renumbers it otherwise
+    renumberings = []
+
+    def spy(succ, start):
+        renumberings.append(start)
+        return bfs_number(succ, start)
+
+    bfs_number = automaton._bfs_number
+    monkeypatch.setattr(automaton, "_bfs_number", spy)
+    rng = random.Random(2525)
+    permuted = 0
+    for _ in range(200):
+        n = rng.randrange(1, 14)
+        alph = Alphabet.maximal(F3) if rng.random() < 0.5 else example_alphabet()
+        dense = rng.choice((0.3, 0.6, 0.9))
+        trans = {(s, j): rng.randrange(n)
+                 for s in range(n) for j in range(len(alph)) if rng.random() < dense}
+        m = PartialDfa(alph.field, alph, n, trans, start=rng.randrange(n))
+        base = moore_reference(m)
+        perm = np.array(rng.sample(range(base.n_states), base.n_states))
+        for machine in (m, base, renumbered(base, perm)):
+            del renumberings[:]
+            got = minimize(machine)
+            renumbered_it = bool(renumberings)
+            assert got == moore_reference(machine)
+            assert canonical_form(got) == canonical_form(base)
+            assert got.table is not machine.table
+            if machine is base:
+                assert not renumbered_it and got == base
+            elif machine is not m and perm.tolist() != sorted(perm.tolist()):
+                assert renumbered_it, perm
+                permuted += 1
+    assert permuted > 100

@@ -283,8 +283,10 @@ def test_decompose_output(capsys):
 
 # (q, poly) -> decompose and canonicalize (stdout lines, exit code); over
 # F_9 and F_25 an irreducible, a reducible (chain value 3 is a square) and an
-# indecomposable degree-8 polynomial, each shifted by x -> x + [1,2].  The
-# README example is checked by the two tests above.
+# indecomposable degree-8 polynomial, each shifted by x -> x + [1,2].  Over
+# F_243, the largest field with index tables, the same three shifted by
+# x -> x + [1,2,0,1,0], the indecomposable one the irreducible one plus x.
+# The README example is checked by the two tests above.
 DECOMPOSE_GOLDEN = [
     ("9", "[0,2],[1,1],[0,2],[1,2],[2,0],[2,2],[0,1],[2,1],[1,0]",
      (["chain: [1,1], [0,0], [0,0]", "shift: [2,1]"], 0), (["shift: [2,1]", "word: jff"], 0)),
@@ -297,6 +299,17 @@ DECOMPOSE_GOLDEN = [
     ("25", "[2,4],[1,0],[3,3],[3,4],[4,4],[0,3],[1,1],[3,1],[1,0]",
      (["chain: [2,1], [0,0], [0,1]", "shift: [4,3]"], 0), (["NotIrreducible"], 1)),
     ("25", "[4,4],[0,3],[4,0],[4,3],[0,0],[2,4],[1,0],[3,1],[1,0]",
+     (["NotDecomposable"], 3), (["NotDecomposable"], 3)),
+    ("243", "[1,1,1,0,2],[0,0,0,2,1],[0,1,2,2,0],[0,0,1,0,0],[1,2,1,2,1],[0,1,1,2,0],"
+     "[2,1,1,1,1],[2,1,0,2,0],[1,0,0,0,0]",
+     (["chain: [0,0,0,1,1], [1,1,1,0,0], [1,2,0,1,1]", "shift: [2,1,0,2,0]"], 0),
+     (["shift: [2,1,0,2,0]", "word: L108,L13,L115"], 0)),
+    ("243", "[2,1,0,1,0],[1,2,2,2,0],[1,1,2,0,0],[2,1,1,2,1],[2,1,1,1,2],[0,1,1,2,0],"
+     "[1,0,0,2,0],[2,1,0,2,0],[1,0,0,0,0]",
+     (["chain: [2,2,2,2,0], [2,0,1,2,1], [2,0,1,0,2]", "shift: [2,1,0,2,0]"], 0),
+     (["NotIrreducible"], 1)),
+    ("243", "[1,1,1,0,2],[1,0,0,2,1],[0,1,2,2,0],[0,0,1,0,0],[1,2,1,2,1],[0,1,1,2,0],"
+     "[2,1,1,1,1],[2,1,0,2,0],[1,0,0,0,0]",
      (["NotDecomposable"], 3), (["NotDecomposable"], 3)),
 ]
 

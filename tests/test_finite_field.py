@@ -512,3 +512,44 @@ def test_zero_in_the_log_table_arithmetic():
                      lambda: field.zero.inverse(), lambda: field.one / field.zero):
             with pytest.raises(ZeroDivisionError):
                 call()
+
+
+# extension fields with q^2 <= _TABLE_LIMIT = 2^16, F_243 the largest
+INDEX_TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (3, 5)]
+
+
+def test_index_tables_equal_the_raw_arithmetic():
+    for p, k in INDEX_TABLE_FIELDS:
+        field = FiniteField(p, k)
+        tables = field.index_tables()
+        assert field.q ** 2 <= finite_field._TABLE_LIMIT and field.index_tables() is tables
+        raws = list(field.iter_raw())
+        index = field.index_of_raw
+        assert tables.raws == raws and tables.index == {u: i for i, u in enumerate(raws)}
+        assert tables.add == [[index(field.radd(u, v)) for v in raws] for u in raws], field
+        assert tables.mul == [[index(field.rmul(u, v)) for v in raws] for u in raws], field
+        assert tables.neg == [index(field.rneg(u)) for u in raws]
+        assert tables.nonsquare == [field.is_nonsquare_raw(u) for u in raws]
+        assert {type(c) for c in tables.add[-1] + tables.mul[-1] + tables.neg + list(raws[-1])} == {int}
+
+
+def test_index_tables_only_for_extension_fields_with_q_squared_inside_the_bound():
+    # F_289 = 17^2 and F_729 = 3^6 lie past the bound; a prime field's
+    # residues are its indices
+    for p, k in ((17, 2), (3, 6), (3, 1), (29, 1), (251, 1), (65521, 1)):
+        field = FiniteField(p, k)
+        field.rmul(field.one_raw, field.one_raw)
+        assert field.index_tables() is None and field._index_tables is None, field
+
+
+def test_index_tables_are_built_on_first_use_only():
+    for p, k in INDEX_TABLE_FIELDS:
+        field = FiniteField(p, k)
+        FieldElement(field, field.one_raw)
+        assert Alphabet.maximal(field).steps is not None
+        field.nonsquare_list()
+        field.step_table([(field.one_raw, field.zero_raw)])
+        field.rmul(field.one_raw, field.one_raw)
+        assert field._index_tables is None, field
+        field.index_tables()
+        assert field._index_tables is not None

@@ -944,3 +944,61 @@ def test_extension_field_decompositions_match_the_reference_and_the_pinned_diges
         assert outcome(canonicalize, F) == outcome(canonicalize_reference, F)
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == EXTENSION_DECOMPOSITION_SHA256
+
+
+def nonzero_elem(field, rng):
+    c = random_elem(field, rng)
+    while c.is_zero():
+        c = random_elem(field, rng)
+    return c
+
+
+def test_decomposition_at_the_index_table_edges():
+    # F_243 is the largest field with index tables and F_289 = 17^2 the
+    # smallest extension field past them; chains of degree 2 to 64, each as
+    # it is, bumped anywhere, and bumped so that peel i + 1 refuses
+    rng = random.Random(289)
+    for field in (FiniteField(3, 5), FiniteField(17, 2)):
+        assert (field.index_tables() is None) == (field.q == 289)
+        statuses, refused_late = set(), 0
+        for chain in seeded_chains(field, rng):
+            t = len(chain.bs)
+            if t > 6:
+                continue
+            F = chain.recompose()
+            assert full_decompose(F) == full_decompose_reference(F) == chain
+            statuses.add(verdict_fields(F)[0])
+            c = nonzero_elem(field, rng)
+            cases = [F, F + Poly(field, [0] * rng.randrange(F.degree) + [c])]
+            if t >= 2:
+                i = rng.randrange(t - 1)
+                inner = CanonicalChain(chain.bs[i:], chain.shift).recompose()
+                bump = Poly(field, [0] * rng.randrange(1, inner.degree // 2) + [c])
+                outer = CanonicalChain(chain.bs[:i], field.zero).recompose()
+                cases.append(outer.compose(inner + bump))
+            for G in cases:
+                want = peels_until_refused(decompose_reference, G)
+                assert peels_until_refused(decompose_quadratic_outer, G) == want
+                refused_late += (want[1] or 0) > 1
+                assert outcome(full_decompose, G) == outcome(full_decompose_reference, G)
+                assert outcome(canonicalize, G) == outcome(canonicalize_reference, G)
+                assert verdict_fields(G) == verdict_reference(G)
+        assert statuses == {IRREDUCIBLE, REDUCIBLE} and refused_late, field
+
+
+def test_one_peel_at_every_degree_from_2_to_64():
+    # (x^2 - a) o H for a random monic H of each degree d = 1 .. 32, on both
+    # sides of _SCHOOL_MAX, past which the square check goes by _mul_raw,
+    # and F + c x^i for some 0 < i < 2d, which is refused at least for i < d
+    rng = random.Random(64)
+    for field in (FiniteField(29), F9, FiniteField(3, 5), FiniteField(17, 2)):
+        for d in range(1, 33):
+            H = Poly(field, [random_elem(field, rng) for _ in range(d)] + [field.one])
+            a = random_elem(field, rng)
+            F = H * H - a
+            assert decompose_quadratic_outer(F) == decompose_reference(F) == (a, H)
+            for i in {1, d - 1, d, rng.randrange(1, 2 * d)} - {0}:
+                G = F + Poly(field, [0] * i + [nonzero_elem(field, rng)])
+                got = outcome(decompose_quadratic_outer, G)
+                assert got == outcome(decompose_reference, G), (field, d, i)
+                assert got[0] is NotDecomposable or i >= d
