@@ -22,26 +22,26 @@ For degrees d = 2^m the Rabin irreducibility test needs no gcds:
 f is irreducible iff x^(q^d) = x and x^(q^(d/2)) != x modulo f, because
 x^(q^d) = x forces f squarefree with factor degrees dividing d, and any
 proper factor degree would divide d/2.  The kernel reaches x^(q^j) one of
-two ways, chosen per call from q and d by counted operations
-(_matrix_path):
+two ways (_matrix_path):
 
-- The power path, for large q or d > 64.  As the coefficients lie in F_q,
-  Y = x^(q^j) mod f gives Y(Y) = x^(q^(2j)) mod f (von zur Gathen and
-  Shoup), and a Brent-Kung composition takes about 2*sqrt(d) products.
+- The power path, for large q, d > 64 or sums past float32's exact
+  range.  As the coefficients lie in F_q, Y = x^(q^j) mod f gives
+  Y(Y) = x^(q^(2j)) mod f (von zur Gathen and Shoup), and a Brent-Kung
+  composition takes about 2*sqrt(d) products.
   So x^(q^j) comes from binary powering with Newton reduction while j is
   small enough that doubling it costs fewer squarings than a composition
   (_power_reach: j = 1 at large q), and compositions double j to d/2;
   one more gives x^(q^d).  A chunk holds O(rows * d) numbers: at most
   _BLOCK powers of its rows.
-- The Frobenius-matrix path (Berlekamp's Q), for small q and d <= 64.  As
-  the coefficients lie in F_q, g^q mod f = Q g, where column i of Q is
-  x^(iq) mod f; so x^(q^j) = Q^j x takes j mat-vecs, d in all.  Every
-  sum stays below d*((p-1)/2)^2 as in an FFT product, so exactness is the
-  same.  Where that bound, twice it for F_{p^2}, is below 2^22 (p up to
-  509 at d = 64 and 719 at d = 32, and every F_{p^2} the path takes), the
-  path runs in float32 (complex64), which halves the bytes each mat-vec
-  reads and stays exact (_F32_EXACT).  A chunk holds at most
-  2^18 entries of Q, so rows = 2^18 // d^2, whatever d.
+- The Frobenius-matrix path (Berlekamp's Q), for d <= 64, q at most
+  _MATRIX_Q_PER_D * d, and sums exact in float32.  As the coefficients
+  lie in F_q, g^q mod f = Q g, where column i of Q is x^(iq) mod f; so
+  x^(q^j) = Q^j x takes j mat-vecs, d in all.  Every sum stays below
+  c*d*((p-1)/2)^2 as in an FFT product, c = 2 for F_{p^2}; the path runs
+  in float32 (complex64), which halves the bytes each mat-vec reads, and
+  only while that bound is below _F32_EXACT (p up to 509 at d = 64 and
+  719 at d = 32).  A chunk holds at most 2^18 entries of Q, so
+  rows = 2^18 // d^2, whatever d.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ from .polynomial import Poly
 
 _CHUNK = 32768  # entries (rows * d) per power-path chunk: small enough to stay in cache
 _Q_ENTRIES = 1 << 18  # Frobenius matrix entries (rows * d^2) per matrix-path chunk
-# Fitted to the measured crossover of the two paths (2-core x86-64, numpy
-# 2.4 on OpenBLAS): see _matrix_path.
-_SHIFT_WEIGHT = 12
-_PRODUCT_WEIGHT = 36
+# Building Q takes q - 1 shift steps a row, so past about 32*d the power
+# path's compositions are faster (both paths forced at 1 and 256 rows, on a
+# 2-core x86-64 host with numpy 2.4 on OpenBLAS): see _matrix_path.
+_MATRIX_Q_PER_D = 32
 # Up to d = 64 a row's mat-vec stays below the sizes at which OpenBLAS
 # spreads one call over threads; on a loaded host those calls were seen
 # taking milliseconds instead of microseconds.
@@ -68,11 +68,20 @@ _MATRIX_MAX_D = 64
 # Most powers of Y that _compose_mod keeps (see _block): 32 from d = 512 on,
 # 16 MiB at 64 rows of d = 1024; past that, memory stays linear in d.
 _BLOCK = 32
-# _balance divides by p through a reciprocal rounded to the array's dtype.
-# In float32 (24-bit significand) the error in v/p, about |v|/p * 2^-23,
-# stays below the 1/(2p) gap to the nearest rounding boundary, so v rounds
-# to its residue, only while |v| < 2^22.
+# The matrix path runs in float32 and so only while its sums stay below
+# this.  _balance divides by p through a reciprocal rounded to the array's
+# dtype.  In float32 (24-bit significand) the error in v/p, about
+# |v|/p * 2^-23, stays below the 1/(2p) gap to the nearest rounding
+# boundary, so v rounds to its residue, only while |v| < 2^22.
 _F32_EXACT = 1 << 22
+
+
+def _sum_bound(q, d):
+    """c*d*((p-1)/2)^2, c = 2 over F_{p^2}: the bound on every sum of d
+    products of balanced residues over F_q, q = p or p^2."""
+    r = math.isqrt(q)
+    p, c = (r, 2) if r * r == q else (q, 1)
+    return c * d * ((p - 1) // 2) ** 2
 
 
 def _mode_is_complex(field: FiniteField) -> bool:
@@ -142,9 +151,12 @@ def compose_levels(
 
     Level t holds len(alphabet)^t rows; the word (j_1, ..., j_t) with j_1
     outermost sits at row sum(j_i * L^(t-i)), i.e. rows follow
-    itertools.product order.
+    itertools.product order.  Refused with ValueError where the products'
+    sums could reach 2^52, past which float64 rounds them wrongly.
     """
     cplx = _mode_is_complex(field)
+    if _sum_bound(field.q, 2**max_len) >= 1 << 52:
+        raise ValueError("compose_levels is exact only while c*2^max_len*((p-1)/2)^2 < 2^52")
     p = field.p
     dtype = np.complex128 if cplx else np.float64
     a_vals = [_embed(field, a) for a, _ in alphabet.pairs]
@@ -309,7 +321,7 @@ def _rabin_power_chunk(f_low, q, p, cplx):
 
 def _vecmat(v, M):
     """Row-wise products v @ M of (rows, 1, k) and (rows, k, n) arrays, in
-    M's dtype: float32 or float64, complex64 or complex128.
+    M's dtype.
 
     Complex rows are multiplied as [re; im] @ M viewed as floats of M's
     own precision, whose columns interleave (re, im): real matrix products
@@ -356,23 +368,15 @@ def _frobenius_matrices(f_low, q, p):
     return qt
 
 
-def _narrow(f_low, p):
-    """f_low as float32 (complex64) when the matrix path's sums stay exact
-    there: every sum is at most c*d*((p-1)/2)^2, c = 2 for complex rows,
-    and below _F32_EXACT _balance rounds it to its residue."""
-    c = 2 if np.iscomplexobj(f_low) else 1
-    if c * f_low.shape[1] * ((p - 1) // 2) ** 2 < _F32_EXACT:
-        return f_low.astype(np.complex64 if c == 2 else np.float32)
-    return f_low
-
-
 def _rabin_matrix_chunk(f_low, q, p):
-    """x^(q^j) = Q^j x by d mat-vecs, balanced after each, so every sum
-    stays below d*((p-1)/2)^2 as in a product of the power path; in
-    float32 where _narrow finds that exact."""
-    f_low = _narrow(f_low, p)
-    qt = _frobenius_matrices(f_low, q, p)
+    """x^(q^j) = Q^j x by d mat-vecs in float32 (complex64), balanced after
+    each, so every sum stays below _sum_bound(q, d) as in a product of the
+    power path; refused with ValueError where that reaches _F32_EXACT."""
     d = f_low.shape[1]
+    if _sum_bound(q, d) >= _F32_EXACT:
+        raise ValueError("the matrix path is exact only while c*d*((p-1)/2)^2 < 2^22")
+    f_low = f_low.astype(np.complex64 if np.iscomplexobj(f_low) else np.float32)
+    qt = _frobenius_matrices(f_low, q, p)
     x_arr = np.zeros((len(f_low), 1, d), dtype=f_low.dtype)
     x_arr[:, 0, 1] = 1.0
     y = x_arr
@@ -385,20 +389,10 @@ def _rabin_matrix_chunk(f_low, q, p):
 
 
 def _matrix_path(q, d):
-    """Whether rows of degree d over F_q take the Frobenius-matrix path.
-
-    Per row, the matrix path takes q shift steps of d entries to build its
-    fold and d mat-vecs of d^2 terms.  The power path is priced as it was
-    when the weights were fitted, by binary powering: (d/2)*log2(q)
-    squarings and 2*sqrt(d) composition products of about d*log2(2d) terms
-    each; composition now spares most of those squarings (_power_reach).
-    _SHIFT_WEIGHT and _PRODUCT_WEIGHT price a shift entry and a product
-    term in mat-vec terms."""
-    if d > _MATRIX_MAX_D:
-        return False
-    matrix = _SHIFT_WEIGHT * q * d + d**3
-    products = (d // 2) * math.log2(q) + 2 * math.sqrt(d)
-    return matrix < _PRODUCT_WEIGHT * products * d * math.log2(2 * d)
+    """Whether rows of degree d over F_q take the Frobenius-matrix path: d at
+    most _MATRIX_MAX_D, q at most _MATRIX_Q_PER_D * d, and every sum exact
+    in float32."""
+    return d <= _MATRIX_MAX_D and q <= _MATRIX_Q_PER_D * d and _sum_bound(q, d) < _F32_EXACT
 
 
 def rabin_irreducible_2power(field: FiniteField, coeffs) -> np.ndarray:

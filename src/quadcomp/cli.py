@@ -41,7 +41,8 @@ from .irreducibility import (
     test_decomposable,
 )
 from .local_field import DEFAULT_PRECISION, PadicInt, PadicQuad, local_irreducible
-from .monoid import Alphabet, MonicQuad, collision_search, freedom_certificate, name_word, pi
+from .monoid import (DEFAULT_SEARCH_BUDGET, Alphabet, MonicQuad, collision_search,
+                     freedom_certificate, name_word, pi)
 from .polynomial import Poly, _split_csv
 
 DEFAULT_OUTPUT_BUDGET = 1_000_000
@@ -412,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_field_args(s)
     _add_alphabet_arg(s)
     s.add_argument("--search-depth", type=int, default=None, help="also search for collisions")
-    s.add_argument("--budget", type=int, default=200_000)
+    s.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     s.set_defaults(func=cmd_freedom)
 
     s = subs.add_parser("local", help="chain criterion over the p-adic integers")

@@ -16,6 +16,7 @@ from quadcomp import (
     compose_levels,
     build_interim,
     count_accepted,
+    is_prime,
     letter_chain,
     pi,
     rabin_irreducible_2power,
@@ -453,28 +454,34 @@ def matrix_dtypes(monkeypatch):
     real = _batch._frobenius_matrices
 
     def spy(f_low, q, p):
-        seen.append(f_low.dtype)
-        return real(f_low, q, p)
+        qt = real(f_low, q, p)
+        seen.append(qt.dtype)
+        return qt
 
     monkeypatch.setattr(_batch, "_frobenius_matrices", spy)
     return seen
 
 
+def forced_verdicts(field, arr, use_matrix):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_batch, "_matrix_path", lambda q, d: use_matrix)
+        return rabin_irreducible_2power(field, arr).tolist()
+
+
 def test_float32_matrix_path_on_both_sides_of_its_bound(monkeypatch):
-    """The matrix path runs in float32 (complex64) while every sum,
-    c*d*((p-1)/2)^2, stays below 2^22: F_509 at d = 64 (64 * 254^2 =
-    4,129,024) is under it, F_521 (64 * 260^2 = 4,326,400) over it, and
-    every F_{p^2} that takes the matrix path, here F_{19^2} and F_{43^2},
-    is under it.  Forcing either dtype where it is exact gives the same
-    verdicts."""
+    """The matrix path runs in float32 (complex64), so it is taken only while
+    every sum, c*d*((p-1)/2)^2, stays below 2^22: F_509 at d = 64 (64 *
+    254^2 = 4,129,024) takes it, F_521 (64 * 260^2 = 4,326,400) takes the
+    power path, and the F_{p^2} that take it, here F_{19^2} and F_{43^2},
+    are far under the bound.  Where float32 is exact both forced paths give
+    the same verdicts; forcing the matrix path past the bound is refused."""
     rng = random.Random(67)
     grid = [(FiniteField(509), 64, True), (FiniteField(521), 64, False)]
-    grid += [(FiniteField(p, 2), d, True) for p in (19, 43) for d in (32, 64)]
+    grid += [(FiniteField(p, 2), d, True) for p, d in ((19, 32), (19, 64), (43, 64))]
     for field, d, under in grid:
-        assert _batch._matrix_path(field.q, d)
+        assert _batch._matrix_path(field.q, d) == under
         c = 2 if field.k == 2 else 1
         assert (c * d * ((field.p - 1) // 2) ** 2 < 2**22) == under
-        narrow, wide = (np.complex64, np.complex128) if c == 2 else (np.float32, np.float64)
         polys = split_products(field, rng, d, 2)
         maximal = Alphabet.maximal(field)
         polys += [pi(w, maximal) for w in chain_words(maximal, rng, d.bit_length() - 1, 2, True)]
@@ -482,16 +489,81 @@ def test_float32_matrix_path_on_both_sides_of_its_bound(monkeypatch):
         arr = from_polys(field, polys)
         seen = matrix_dtypes(monkeypatch)
         verdicts = [rabin_irreducible_2power(field, arr).tolist()]
-        assert set(seen) == {np.dtype(narrow if under else wide)}, field.q
-        # float32 past the bound is not exact, so it is forced only under it
-        for bound, dtype in [(0, wide)] + ([(2**62, narrow)] if under else []):
-            monkeypatch.setattr(_batch, "_F32_EXACT", bound)
-            seen.clear()
-            verdicts.append(rabin_irreducible_2power(field, arr).tolist())
-            assert set(seen) == {np.dtype(dtype)}, (field.q, bound)
-        monkeypatch.undo()
-        assert all(v == verdicts[0] for v in verdicts), field.q
+        assert set(seen) == ({np.dtype(np.complex64 if c == 2 else np.float32)} if under
+                             else set()), field.q
         assert verdicts[0][:4] == [False, False, True, True], field.q
+        if under:
+            verdicts += [forced_verdicts(field, arr, m) for m in (False, True)]
+            assert all(v == verdicts[0] for v in verdicts), field.q
+            monkeypatch.setattr(_batch, "_F32_EXACT", 0)  # as if past the bound
+        with pytest.raises(ValueError, match="2\\^22"):
+            forced_verdicts(field, arr, True)
+        monkeypatch.undo()
+    # over F_{p^2} a sum adds real and imaginary products: 2 * 64 * 183^2 >= 2^22
+    field = FiniteField(367, 2)
+    arr = from_polys(field, [random_poly(field, rng, 65, monic=True)])
+    with pytest.raises(ValueError, match="2\\^22"):
+        forced_verdicts(field, arr, True)
+
+
+def test_path_rule_sends_large_q_to_the_power_path():
+    """Building Q takes q - 1 shift steps a row, so past _MATRIX_Q_PER_D * d
+    the power path takes the call: q = 1,021 and 4,999 at d = 64 (where the
+    matrix path was measured 1.5x and 5x slower), but not q = 509.  Both
+    forced paths agree on either side of the edge."""
+    assert _batch._matrix_path(509, 64)
+    assert not _batch._matrix_path(1021, 64) and not _batch._matrix_path(4999, 64)
+    rng = random.Random(73)
+    d = 2
+    edge = _batch._MATRIX_Q_PER_D * d
+    below = max(p for p in range(3, edge + 1) if is_prime(p))
+    above = min(p for p in range(edge + 1, 2 * edge) if is_prime(p))
+    for p, matrix in ((below, True), (above, False)):
+        field = FiniteField(p)
+        assert _batch._matrix_path(p, d) == matrix
+        polys = [random_poly(field, rng, d + 1, monic=True) for _ in range(40)]
+        arr = from_polys(field, polys)
+        want = [rabin_is_irreducible(poly) for poly in polys]
+        assert any(want) and not all(want), p
+        assert rabin_irreducible_2power(field, arr).tolist() == want, p
+        for m in (False, True):
+            assert forced_verdicts(field, arr, m) == want, (p, m)
+
+
+def test_matrix_path_builds_q_in_float32_only(monkeypatch):
+    """Forced onto every shape of test_frobenius_matrix_path_matches_power_path,
+    the matrix path builds no float64 or complex128 Q."""
+    rng = random.Random(79)
+    grid = [(field, 2**m) for field in (F3, F5, F7, F9) for m in range(1, 7)]
+    grid += [(FiniteField(p), d) for p in (11, 13) for d in (16, 32)]
+    seen = matrix_dtypes(monkeypatch)
+    for field, d in grid:
+        polys = [random_poly(field, rng, d + 1, monic=True) for _ in range(3)]
+        forced_verdicts(field, from_polys(field, polys), True)
+    assert len(seen) == len(grid)
+    assert set(seen) == {np.dtype(np.float32), np.dtype(np.complex64)}
+
+
+def test_compose_levels_refuses_past_the_float64_bound():
+    """Rows are exact while c*2^max_len*((p-1)/2)^2 < 2^52, and refused past
+    it: p = 1,000,003 gives every row of 3 letters to level 7 (about 2^45),
+    while p = 33,554,393 at level 6 (2^54) and p = 2^31 - 1 at level 1
+    (2^61) are refused; unchecked, they gave 36 of 729 and 3 of 3 rows of a
+    3-letter alphabet wrong."""
+    rng = random.Random(83)
+    big = FiniteField(1_000_003)
+    letters = [MonicQuad(big.elem(rng.randrange(big.p)), big.elem(rng.randrange(big.p)))
+               for _ in range(3)]
+    alphabet = Alphabet(big, letters)
+    levels = compose_levels(big, alphabet, 7)
+    for t in range(1, 8):
+        for r, word in enumerate(product(range(3), repeat=t)):
+            assert to_poly(big, levels[t][r]) == pi(word, alphabet), word
+    for p, max_len in ((33_554_393, 6), (2**31 - 1, 1)):
+        field = FiniteField(p)
+        alphabet = Alphabet(field, [MonicQuad(field.elem(1), field.elem(2))])
+        with pytest.raises(ValueError, match="2\\^52"):
+            compose_levels(field, alphabet, max_len)
 
 
 def test_balance_keeps_float32_and_is_exact_below_2_to_22():

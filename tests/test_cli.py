@@ -517,13 +517,15 @@ def test_the_largest_field_allowed_builds_its_automata(capsys):
     assert (rc, out) == (0, ["words: %d" % words])
 
 
-# a child that prints its own peak RSS, in KiB on Linux, after the command's output
+# a child that prints its own peak RSS in KiB after the command's output:
+# VmHWM restarts at exec, where ru_maxrss keeps the peak of the parent
 PEAK_RSS_CHILD = """
-import resource, sys
+import sys
 from quadcomp.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
 sys.exit(code)
 """
 
