@@ -4,7 +4,9 @@ Coefficients live in numpy arrays, one polynomial per row, low degree
 first, stored as balanced residues (integers in [-(p-1)/2, (p-1)/2])
 inside float64 entries for prime fields, or complex128 entries for
 F_{p^2} with modulus x^2 + 1 (the basis element t satisfies t^2 = -1, so
-c0 + c1*t multiplies exactly like the complex number c0 + c1*i).
+c0 + c1*t multiplies exactly like the complex number c0 + c1*i).  The
+dtype is the mode: _dtype sets it from the field at the public entries,
+and every function below them reads it off the arrays it is given.
 
 Products are computed by FFT between balanced rows of at most d entries,
 so every coefficient of a product is bounded by d*((p-1)/2)^2, twice that
@@ -84,11 +86,13 @@ def _sum_bound(q, d):
     return c * d * ((p - 1) // 2) ** 2
 
 
-def _mode_is_complex(field: FiniteField) -> bool:
+def _dtype(field: FiniteField):
+    """The dtype of a field's rows: float64 over F_p, complex128 over F_{p^2}
+    with modulus x^2 + 1; any other field is refused with ValueError."""
     if field.k == 1:
-        return False
+        return np.float64
     if field.k == 2 and tuple(field.modulus) == (1, 0, 1):
-        return True
+        return np.complex128
     raise ValueError(
         "batched kernels support prime fields and degree-2 extensions "
         "with modulus x^2 + 1 only"
@@ -110,38 +114,33 @@ def _balance(arr, p):
     return flat.view(arr.dtype)
 
 
-def _embed(field: FiniteField, raw):
-    """One raw field element as a balanced float or complex scalar."""
-    p = field.p
-    if field.k == 1:
-        v = raw % p
-        return float(v - p if v > p // 2 else v)
-    c0, c1 = raw[0] % p, raw[1] % p
-    if c0 > p // 2:
-        c0 -= p
-    if c1 > p // 2:
-        c1 -= p
-    return complex(c0, c1)
+def _embed(raws, p, dtype):
+    """Nested raw field elements as an array of balanced entries of dtype:
+    ints over F_p, and (c0, c1) pairs over F_{p^2}, whose last axis becomes
+    c0 + c1*i."""
+    v = np.array(raws, dtype=np.int64) % p
+    out = np.where(v > p // 2, v - p, v).astype(np.float64).view(dtype)
+    return out[..., 0] if np.iscomplexobj(out) else out
 
 
-def _fwd(P, n, cplx):
-    return np.fft.fft(P, n=n, axis=1) if cplx else np.fft.rfft(P, n=n, axis=1)
+def _fwd(P, n):
+    return np.fft.fft(P, n=n, axis=1) if np.iscomplexobj(P) else np.fft.rfft(P, n=n, axis=1)
 
 
-def _inv(T, n, cplx):
-    """Inverse transform of length n; entries are within rounding error of
-    integers."""
-    return np.fft.ifft(T, axis=1) if cplx else np.fft.irfft(T, n=n, axis=1)
+def _inv(T, n, like):
+    """Inverse transform of length n, real or complex as the rows `like` (rfft
+    and fft both give 2 bins at n = 2), within rounding error of integers."""
+    return np.fft.ifft(T, axis=1) if np.iscomplexobj(like) else np.fft.irfft(T, n=n, axis=1)
 
 
-def _mul(A, B, p, cplx):
+def _mul(A, B, p):
     """Row-wise products as plain polynomials (no modulus), balanced;
     B = None squares A."""
     out_len = A.shape[1] + (A if B is None else B).shape[1] - 1
     n = 1 << (out_len - 1).bit_length()
-    a_hat = _fwd(A, n, cplx)
-    b_hat = a_hat if B is None else _fwd(B, n, cplx)
-    return _balance(_inv(a_hat * b_hat, n, cplx)[:, :out_len], p)
+    a_hat = _fwd(A, n)
+    b_hat = a_hat if B is None else _fwd(B, n)
+    return _balance(_inv(a_hat * b_hat, n, A)[:, :out_len], p)
 
 
 def compose_levels(
@@ -154,13 +153,11 @@ def compose_levels(
     itertools.product order.  Refused with ValueError where the products'
     sums could reach 2^52, past which float64 rounds them wrongly.
     """
-    cplx = _mode_is_complex(field)
+    dtype = _dtype(field)
     if _sum_bound(field.q, 2**max_len) >= 1 << 52:
         raise ValueError("compose_levels is exact only while c*2^max_len*((p-1)/2)^2 < 2^52")
     p = field.p
-    dtype = np.complex128 if cplx else np.float64
-    a_vals = [_embed(field, a) for a, _ in alphabet.pairs]
-    b_vals = [_embed(field, b) for _, b in alphabet.pairs]
+    a_vals, b_vals = _embed(alphabet.pairs, p, dtype).T
     current = np.zeros((1, 2), dtype=dtype)
     current[0, 1] = 1.0
     levels = {}
@@ -169,7 +166,7 @@ def compose_levels(
         for j in range(len(alphabet)):
             shifted = current.copy()
             shifted[:, 0] -= a_vals[j]
-            squared = _mul(shifted, None, p, cplx)
+            squared = _mul(shifted, None, p)
             squared[:, 0] -= b_vals[j]
             blocks.append(squared)
         current = _balance(np.vstack(blocks), p)
@@ -177,16 +174,16 @@ def compose_levels(
     return levels
 
 
-def _series_inverse(r, n, p, cplx):
+def _series_inverse(r, n, p):
     """r^-1 mod x^n for rows with constant term 1, by Newton iteration:
     g <- g - g*(r*g - 1) doubles the number of correct terms."""
     g = np.ones((r.shape[0], 1), dtype=r.dtype)
     m = 1
     while m < n:
         m = min(2 * m, n)
-        err = _mul(r[:, :m], g, p, cplx)[:, :m]
+        err = _mul(r[:, :m], g, p)[:, :m]
         err[:, 0] -= 1
-        step = _mul(g, err, p, cplx)[:, :m]
+        step = _mul(g, err, p)[:, :m]
         g = _balance(np.pad(g, ((0, 0), (0, m - g.shape[1]))) - step, p)
     return g
 
@@ -198,26 +195,26 @@ class _Modulus:
     the length-d transform of f mod (x^d - 1).
     """
 
-    def __init__(self, f_low, p, cplx):
+    def __init__(self, f_low, p):
         d = f_low.shape[1]
-        self.d, self.p, self.cplx, self.f_low = d, p, cplx, f_low
+        self.d, self.p, self.f_low = d, p, f_low
         rev_f = np.concatenate([np.ones_like(f_low[:, :1]), f_low[:, :0:-1]], axis=1)
-        g = _series_inverse(rev_f, d - 1, p, cplx)
+        g = _series_inverse(rev_f, d - 1, p)
         self.g_hat = self.hat(g[:, ::-1])
         f_cyc = f_low.copy()
         f_cyc[:, 0] += 1
-        self.f_hat = _fwd(_balance(f_cyc, p), d, cplx)
+        self.f_hat = _fwd(_balance(f_cyc, p), d)
 
     def hat(self, A):
         """Length-2d transform of balanced rows of degree < d."""
-        return _fwd(A, 2 * self.d, self.cplx)
+        return _fwd(A, 2 * self.d)
 
     def mulmod(self, A, b_hat=None):
         """A * B modulo f, balanced, for balanced rows A and B given by its
         transform; b_hat = None squares A."""
         a_hat = self.hat(A)
         prod = a_hat * (a_hat if b_hat is None else b_hat)
-        return self._reduce(_inv(prod, 2 * self.d, self.cplx))
+        return self._reduce(_inv(prod, 2 * self.d, A))
 
     def _reduce(self, P):
         """Rows of degree <= 2d-2, integers up to rounding error, modulo f.
@@ -225,11 +222,11 @@ class _Modulus:
         With A = P[d:] balanced, the quotient is Q = (A * rev(g))[d-2:2d-3];
         the remainder has degree < d, so it equals P - Q*f mod x^d - 1.
         """
-        d, p, cplx = self.d, self.p, self.cplx
+        d, p = self.d, self.p
         top = _balance(P[:, d : 2 * d - 1], p)
-        quot = _inv(self.hat(top) * self.g_hat, 2 * d, cplx)
+        quot = _inv(self.hat(top) * self.g_hat, 2 * d, P)
         quot = _balance(quot[:, d - 2 : 2 * d - 3], p)
-        low = _inv(_fwd(quot, d, cplx) * self.f_hat, d, cplx)
+        low = _inv(_fwd(quot, d) * self.f_hat, d, P)
         np.subtract(P[:, :d], low, out=low)
         low[:, : d - 1] += top
         return _balance(low, p)
@@ -304,8 +301,8 @@ def _power_reach(q, d):
     return j
 
 
-def _rabin_power_chunk(f_low, q, p, cplx):
-    mod = _Modulus(f_low, p, cplx)
+def _rabin_power_chunk(f_low, q, p):
+    mod = _Modulus(f_low, p)
     j = _power_reach(q, mod.d)
     y = _pow_x(q**j, mod)
     while 2 * j < mod.d:
@@ -401,8 +398,7 @@ def rabin_irreducible_2power(field: FiniteField, coeffs) -> np.ndarray:
     coeffs: (rows, d+1) array in the balanced representation produced by
     compose_levels or from_polys.
     """
-    cplx = _mode_is_complex(field)
-    arr = np.ascontiguousarray(coeffs, dtype=np.complex128 if cplx else np.float64)
+    arr = np.ascontiguousarray(coeffs, dtype=_dtype(field))
     rows, width = arr.shape
     d = width - 1
     if d < 2 or d & (d - 1):
@@ -416,7 +412,7 @@ def rabin_irreducible_2power(field: FiniteField, coeffs) -> np.ndarray:
     for s in range(0, rows, step):
         f_low = _balance(arr[s : s + step, :d], p)
         out[s : s + step] = (_rabin_matrix_chunk(f_low, q, p) if matrix
-                             else _rabin_power_chunk(f_low, q, p, cplx))
+                             else _rabin_power_chunk(f_low, q, p))
     return out
 
 
@@ -424,22 +420,15 @@ def from_polys(field: FiniteField, polys: Sequence[Poly]) -> np.ndarray:
     """Pack monic Polys of one common degree into a balanced array."""
     if not polys:
         raise ValueError("no polynomials given")
-    cplx = _mode_is_complex(field)
-    degree = polys[0].degree
-    arr = np.zeros((len(polys), degree + 1), dtype=np.complex128 if cplx else np.float64)
-    for r, poly in enumerate(polys):
-        if poly.field != field or poly.degree != degree or not poly.is_monic:
-            raise ValueError("rows must be monic, same field, same degree")
-        for c, raw in enumerate(poly.vals):
-            arr[r, c] = _embed(field, raw)
-    return arr
+    dtype, degree = _dtype(field), polys[0].degree
+    if any(poly.field != field or poly.degree != degree or not poly.is_monic for poly in polys):
+        raise ValueError("rows must be monic, same field, same degree")
+    return _embed([poly.vals for poly in polys], field.p, dtype)
 
 
 def to_poly(field: FiniteField, row) -> Poly:
     """One balanced coefficient row back into a Poly."""
-    p = field.p
-    if field.k == 1:
-        vals = [int(np.rint(np.real(v))) % p for v in row]
-    else:
-        vals = [(int(np.rint(np.real(v))) % p, int(np.rint(np.imag(v))) % p) for v in row]
-    return Poly(field, vals, raw=True)
+    arr = np.ascontiguousarray(row, dtype=_dtype(field))
+    coords = np.rint(arr.view(arr.real.dtype)).astype(np.int64)
+    # one coordinate an entry over F_p, two (re, im) over F_{p^2}
+    return Poly(field, coords.reshape(-1, arr.itemsize // arr.real.itemsize).tolist())

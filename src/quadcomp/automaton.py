@@ -35,12 +35,13 @@ from .errors import BudgetExceeded, IndexOutOfRange, UnsupportedFormat
 from .finite_field import _GATHER_BYTES, FieldElement, FiniteField
 from .monoid import MAX_INTERIM_Q, Alphabet, MonicQuad
 
-# reverse_subset_prune refuses to hold more than this many bytes of M's
-# table (twice, for the copy that joins its blocks), sorted subset keys
-# and their ids, and next frontier; extend_frontier refuses a level whose
-# word matrix, ids and np.nonzero indices, with the step's table, new keys
-# and their numbering, pass it.  For the maximal alphabet, M has 651,985
-# states at q = 41 and 2,038,570 at q = 43, about 3.5 times more per prime.
+# reverse_subset_prune refuses to hold more than this many bytes of the
+# frontier of the layer it steps, M's table (twice, for the copy that joins
+# its blocks), sorted subset keys and their ids, and next frontier;
+# extend_frontier refuses a level whose word matrix, ids and np.nonzero
+# indices, with the step's table, new keys and their numbering, pass it.
+# For the maximal alphabet, M has 651,985 states at q = 41 and 2,038,570 at
+# q = 43, about 3.5 times more per prime.
 # The q = 43 walk took 14-16 s at 799-814 MB peak RSS (2-core x86-64,
 # Python 3.11), and its estimate peaked at 717 MB; q = 47 passes 1 GiB at
 # layer 6, with 4.9 M states, after 28 s.
@@ -212,12 +213,20 @@ class _Transitions(Mapping):
         return int(np.count_nonzero(self._table >= 0))
 
 
+def _is_index(v) -> bool:
+    """Whether v is an int or numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _table_from_edges(edges, shape) -> np.ndarray:
     """(n_states, letters) int32 table of (state, letter, target) triples, -1
-    where none is given; refuses a triple out of range or a repeated pair."""
+    where none is given; refuses a triple that is not integers (TypeError),
+    out of range or a repeated pair (IndexOutOfRange)."""
     n_states, n_letters = shape
     table = np.full(shape, -1, dtype=np.int32)
     for s, j, t in edges:
+        if not (_is_index(s) and _is_index(j) and _is_index(t)):
+            raise TypeError("transition (%r, %r) -> %r is not integers" % (s, j, t))
         if not (0 <= s < n_states and 0 <= j < n_letters and 0 <= t < n_states):
             raise IndexOutOfRange("transition (%r, %r) -> %r out of range" % (s, j, t))
         if table[s, j] >= 0:
@@ -293,8 +302,9 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
     subset past the start is one integer key of one bit per class.  Each
     BFS layer takes one pass of _preimage_ids, which numbers keys in the
     order a queue-driven walk meets them.  Each chunk writes a block of M's
-    table; past MAX_WALK_BYTES of table, keys, ids and next layer,
-    estimated after each chunk, the walk raises BudgetExceeded.
+    table; past MAX_WALK_BYTES of the layer being stepped, table, keys, ids
+    and next layer, estimated after each chunk, the walk raises
+    BudgetExceeded.
     """
     classes = n_aut.classes
     frontier = n_aut.accepting_mask[None, :]
@@ -307,7 +317,7 @@ def reverse_subset_prune(n_aut: InterimAutomaton) -> PartialDfa:
         for block, new_keys in _preimage_ids(classes, frontier, known):
             blocks.append(block)
             fresh.append(new_keys)
-            held = _step_bytes(blocks, fresh, known)
+            held = frontier.nbytes + _step_bytes(blocks, fresh, known)
             if held > MAX_WALK_BYTES:
                 raise BudgetExceeded("subset walk at layer %d holds %d states, about %d of %d MB"
                                      % (layer, known.count, held >> 20, MAX_WALK_BYTES >> 20))
@@ -769,8 +779,9 @@ def automaton_from_json(text: str):
     listed once; an interim machine needs every pair (its constructor
     refuses the -1 a missing one leaves) and starts at state 0, and every
     state of a partial one must accept.  A document that is not an object,
-    lacks a key or holds an entry of the wrong type, such as a `merged`
-    that is not a bool, raises UnsupportedFormat.
+    lacks a key or holds an entry of the wrong type, such as a state id,
+    letter, target or start that is not an int (a float or a bool), or an
+    accepting flag or `merged` that is not a bool, raises UnsupportedFormat.
     """
     doc = json.loads(text)
     try:
@@ -783,12 +794,17 @@ def automaton_from_json(text: str):
         alphabet = Alphabet(field, quads)
         states = sorted(doc["states"], key=lambda st: st["id"])
         n = len(states)
-        if [st["id"] for st in states] != list(range(n)):
+        ids, accepting = [st["id"] for st in states], [st["accepting"] for st in states]
+        if not all(map(_is_index, ids + [doc["start"]])):
+            raise TypeError("state ids and the start must be ints")
+        if not all(isinstance(flag, bool) for flag in accepting):
+            raise TypeError("accepting flags must be bools")
+        if ids != list(range(n)):
             raise IndexOutOfRange("state ids must be exactly 0..%d" % (n - 1))
         edges = ((t["from"], t["letter"], t["to"]) for t in doc["transitions"])
         table = _table_from_edges(edges, (n, len(alphabet)))
         if kind == "partial":
-            if not all(st["accepting"] for st in states):
+            if not all(accepting):
                 raise ValueError("every state of a partial DFA accepts")
             return PartialDfa(field, alphabet, n, table, start=doc["start"])
         if doc["start"] != InterimAutomaton.start:
@@ -798,7 +814,6 @@ def automaton_from_json(text: str):
             raise UnsupportedFormat("merged must be a bool, not %r" % (merged,))
         nstates = [NState(st["kind"], None if st["value"] is None else parse(st["value"]))
                    for st in states]
-        accepting = [bool(st["accepting"]) for st in states]
         return InterimAutomaton(field, alphabet, nstates, accepting, table.T, merged)
     except (KeyError, TypeError, AttributeError) as exc:
         # a document that is a list, say, has no .get

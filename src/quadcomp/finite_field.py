@@ -75,6 +75,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_divisors(n: int) -> list:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _smallest_irreducible(p: int, k: int) -> tuple:
     """The lexicographically smallest monic irreducible of degree k over
     F_p, coefficients low degree first, and the reduction rows: the
@@ -233,8 +247,6 @@ class FiniteField:
         q, p, k = self.q, self.p, self.k
         if q > _TABLE_LIMIT:
             return None
-        from .polynomial import _prime_divisors  # polynomial imports this module
-
         n, one = q - 1, self.one_raw
         exponents = [n // r for r in _prime_divisors(n)]
         # g is the first element, by index, of order n; the elements of F_p,

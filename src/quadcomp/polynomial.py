@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import BothZero, ConstantPolynomial, DegreeTooSmall
-from .finite_field import FieldElement, FiniteField
+from .finite_field import FieldElement, FiniteField, _prime_divisors
 
 # array typecode per slot width in bytes; arrays are read as little-endian
 _SLOT_CODES = {array.array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
@@ -401,20 +401,6 @@ def powmod_frobenius(e: int, f: Poly) -> Poly:
     for _ in range(e):
         y = _powmod(y, field.q, f, red)
     return y
-
-
-def _prime_divisors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def rabin_is_irreducible(f: Poly) -> bool:

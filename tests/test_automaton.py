@@ -417,6 +417,19 @@ def test_subset_walk_refuses_past_its_byte_budget(monkeypatch):
     assert reverse_subset_prune(n_aut) == m
 
 
+def test_subset_walk_counts_the_layer_it_steps(monkeypatch):
+    # over maximal F_29 the walk's largest estimate is 3,770,480 bytes of
+    # table, keys and ids, and 3,778,992 with the frontier of the layer it
+    # steps, which stays alive until the layer ends
+    n_aut = build_interim(Alphabet.maximal(FiniteField(29)))
+    m = reverse_subset_prune(n_aut)
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", 3_770_480)
+    with pytest.raises(BudgetExceeded, match="subset walk at layer"):
+        reverse_subset_prune(n_aut)
+    monkeypatch.setattr(automaton, "MAX_WALK_BYTES", 3_778_992)
+    assert reverse_subset_prune(n_aut) == m
+
+
 def test_subset_walk_counts_the_copy_that_joins_its_table(monkeypatch):
     # every letter over F_13: M's 821 states take 169 table entries each, and
     # their ids about a sixth of that, so the walk holds well under 1.5 tables
@@ -774,6 +787,31 @@ def test_json_with_an_out_of_range_target_is_refused():
     for blob, named in malformed:
         with pytest.raises(UnsupportedFormat, match=named):
             automaton_from_json(json.dumps(blob))
+
+
+def test_json_with_wrong_typed_entries_is_refused():
+    # unchecked, "to": 2.7 loaded as target 2, "letter": 1.0 escaped as a
+    # numpy IndexError, ids and starts of 0.0 and "to": true passed, and
+    # "accepting": "false" loaded as accepting
+    n_aut = build_interim(example_alphabet())
+    for aut in (n_aut, reverse_subset_prune(n_aut)):
+        text = to_json(aut)
+        assert automaton_from_json(text) == aut
+        cases = [("transitions", 0, "to", 2.7), ("transitions", 0, "letter", 1.0),
+                 ("transitions", 0, "from", 0.0), ("transitions", 0, "to", True),
+                 ("transitions", 0, "letter", False), ("states", 0, "id", 0.0),
+                 ("states", 1, "id", True), ("states", 0, "accepting", "false"),
+                 ("states", 0, "accepting", 1), ("states", 0, "accepting", None)]
+        for key, i, field, value in cases:
+            blob = json.loads(text)
+            blob[key][i][field] = value
+            with pytest.raises(UnsupportedFormat, match="malformed"):
+                automaton_from_json(json.dumps(blob))
+        for start in (0.0, False, "0"):
+            blob = json.loads(text)
+            blob["start"] = start
+            with pytest.raises(UnsupportedFormat, match="malformed"):
+                automaton_from_json(json.dumps(blob))
 
 
 def test_interim_automaton_checks_its_transitions():

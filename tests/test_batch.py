@@ -106,6 +106,80 @@ def test_round_trip_through_rows():
     assert to_poly(F9, arr[0]) == poly
 
 
+ROUND_TRIP_FIELDS = (F3, FiniteField(1_000_003), F9, FiniteField(1_000_003, 2))
+
+
+def one_element_embed(field, raw):
+    """One raw element as a balanced float or complex scalar, element by
+    element: the reference for the vectorized _embed."""
+    p = field.p
+    if field.k == 1:
+        v = raw % p
+        return float(v - p if v > p // 2 else v)
+    c0, c1 = raw[0] % p, raw[1] % p
+    if c0 > p // 2:
+        c0 -= p
+    if c1 > p // 2:
+        c1 -= p
+    return complex(c0, c1)
+
+
+def nested_embed(field, nested):
+    """one_element_embed over nested lists of raw elements."""
+    if isinstance(nested, list):
+        return [nested_embed(field, item) for item in nested]
+    return one_element_embed(field, nested)
+
+
+def edge_raws(field):
+    """Raw elements whose coordinates sit on both sides of (p-1)/2, the
+    largest balanced residue, and at 0 and p - 1."""
+    half = (field.p - 1) // 2
+    pairs = ((half, half + 1), (half + 1, half), (field.p - 1, 0), (0, field.p - 1), (1, half))
+    return [field.elem(list(pair[: field.k])).val for pair in pairs]
+
+
+def test_from_polys_and_to_poly_round_trip():
+    rng = random.Random(89)
+    for field in ROUND_TRIP_FIELDS:
+        assert field.k == 1 or field.modulus == (1, 0, 1)
+        edges, half = edge_raws(field), (field.p - 1) // 2
+        for width in (3, 17, 65):
+            polys = [random_poly(field, rng, width, monic=True) for _ in range(6)]
+            polys += [Poly(field, [edges[(i + shift) % len(edges)] for i in range(width - 1)]
+                           + [field.one_raw], raw=True) for shift in range(len(edges))]
+            arr = from_polys(field, polys)
+            assert arr.dtype == (np.complex128 if field.k == 2 else np.float64)
+            assert arr.shape == (len(polys), width)
+            flat = arr.view(np.float64)
+            assert flat.max() == half and flat.min() == -half, (field.q, width)
+            assert [to_poly(field, row) for row in arr] == polys, (field.q, width)
+        assert to_poly(field, []) == Poly.zero(field)
+
+
+def test_embed_matches_the_one_element_form():
+    """In value and in dtype, for one element, a row of them and a matrix."""
+    rng = random.Random(97)
+    for field in ROUND_TRIP_FIELDS:
+        dtype, p = _batch._dtype(field), field.p
+        raws = [edge_raws(field)] + [[field.raw_from_index(rng.randrange(field.q))
+                                      for _ in range(5)] for _ in range(3)]
+        if field.k == 1:
+            raws.append([-1, p, p + 2, -p - 1, 2 * p - 1])  # unreduced ints
+        for nested in (raws[0][0], raws[0], raws):
+            got = _embed(nested, p, dtype)
+            want = np.array(nested_embed(field, nested))
+            assert got.dtype == want.dtype and got.shape == want.shape, (field.q, nested)
+            assert np.array_equal(got, want), (field.q, nested)
+
+
+def test_to_poly_over_f9_accepts_a_real_row():
+    want = Poly(F9, [F9.elem(2), F9.elem(1), F9.one])
+    assert to_poly(F9, np.array([-1.0, 1.0, 1.0])) == want
+    assert to_poly(F9, [2.0, 1.0, 1.0]) == want
+    assert to_poly(F9, np.array([-1.0, 1.0, 1.0], dtype=np.complex128)) == want
+
+
 def test_compose_levels_rows_follow_word_order():
     alph = Alphabet(F5, [MonicQuad(F5.elem(0), F5.elem(2)),
                          MonicQuad(F5.elem(1), F5.elem(3))])
@@ -133,7 +207,7 @@ def balanced_rows(field, polys, width):
     arr = np.zeros((len(polys), width), dtype=np.complex128 if field.k == 2 else np.float64)
     for r, poly in enumerate(polys):
         for c, raw in enumerate(poly.vals):
-            arr[r, c] = _embed(field, raw)
+            arr[r, c] = _embed(raw, field.p, arr.dtype)
     return arr
 
 
@@ -152,7 +226,7 @@ def test_newton_reduction_is_exact():
         fs = [random_poly(field, rng, d + 1, monic=True) for _ in range(4)]
         a_polys = [random_poly(field, rng, d) for _ in fs]
         b_polys = [random_poly(field, rng, d) for _ in fs]
-        mod = _Modulus(from_polys(field, fs)[:, :d], field.p, field.k == 2)
+        mod = _Modulus(from_polys(field, fs)[:, :d], field.p)
         A = balanced_rows(field, a_polys, d)
         B = balanced_rows(field, b_polys, d)
         products = mod.mulmod(A, mod.hat(B))

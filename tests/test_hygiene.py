@@ -261,3 +261,45 @@ def test_stale_constants_are_found():
 def test_every_constant_the_readme_names_exists():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert stale_constants((REPO / "README.md").read_text(), sources) == []
+
+
+def function_imports(source: str) -> list:
+    """The qualified name ("f", "f.inner", "Class.method") of the function
+    around each import statement that runs inside a function, in source
+    order."""
+    found = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name], True)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], in_function)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+                found.append(".".join(scope))
+            else:
+                visit(child, scope, in_function)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_function_imports_are_found():
+    # imports at module or class level, guarded or not, run once on import
+    source = (
+        "import os\ntry:\n    import z\nexcept ImportError:\n    z = None\n"
+        "def f():\n    import sys\n    def inner():\n        from . import a\n"
+        "class C:\n    import json\n    def m(self):\n        if z:\n            from x import y\n"
+    )
+    assert function_imports(source) == ["f", "f.inner", "C.m"]
+
+
+def test_only_the_import_that_breaks_the_cycle_sits_in_a_function():
+    # polynomial imports finite_field, whose modulus search needs Poly and
+    # Rabin's test; an import inside any other function hides a new cycle
+    found = [
+        "%s.%s" % (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in function_imports(path.read_text())
+    ]
+    assert found == ["finite_field._smallest_irreducible"]
